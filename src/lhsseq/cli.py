@@ -27,7 +27,7 @@ from . import __version__
 from .cohomology import MasseyUndefinedError, massey_triple
 from .engine import DEFAULT_R_MAX, EngineError, expand_rational, run
 from .extensions import build_extension_group
-from .groups import AbelianPGroupSpec
+from .groups import AbelianPGroupSpec, GroupError
 from .oracle import cohomology_dims, double_complex_ss, euler_telescope
 from .parsing import ParseError, parse_class, parse_extension_spec, parse_overrides
 from .resolutions import DEFAULT_BASIS_BUDGET
@@ -491,7 +491,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, EngineError, MasseyUndefinedError) as exc:
+    except (ParseError, EngineError, MasseyUndefinedError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

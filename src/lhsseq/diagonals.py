@@ -9,10 +9,10 @@ Sign conventions, pinned by the coboundary-formula self-test in the
 verifier module:
   * tau(a (x) b) = (-1)^{|a||b|} b (x) a;
   * tensor differential d(a (x) b) = da (x) b + (-1)^{|a|} a (x) db;
-  * cochain pairing (phi (x) theta)(x (x) y) = phi(x) theta(y), no sign;
-  * Steenrod's explicit cup-1 map satisfies
-        d D1 + D1 d = D0 - tau D0
-    (it mediates from tau D0 to D0 with this exponent convention).
+  * cochain pairing (phi (x) theta)(x (x) y) = phi(x) theta(y), no sign.
+
+The bar resolution's Alexander-Whitney and Steenrod cup-1 maps are not
+built here: verifier.BarDoubleComplex.product evaluates them on cochains.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .resolutions import Resolution
 
 __all__ = [
     "ChainMapToTensor",
-    "aw_diagonal",
-    "steenrod_cup1",
     "ce_diagonal",
     "ce_homotopy",
     "cyclic_diagonal",
@@ -37,11 +35,7 @@ __all__ = [
     "tensor_homotopy",
     "homotopy_identity_residual",
     "coassociativity_residual",
-    "STEENROD_MEDIATES_TO_PLAIN",
 ]
-
-# d D1 + D1 d equals (plain - twisted) diagonal with Steenrod's f(i,j,n).
-STEENROD_MEDIATES_TO_PLAIN = True
 
 Piece = tuple[int, tuple]
 Term = tuple[int, tuple[Piece, ...]]
@@ -72,66 +66,6 @@ class ChainMapToTensor:
         if self._builder is None:
             return {}
         return self._builder(n, multidegree)
-
-
-# -- bar resolution: Alexander-Whitney and Steenrod ---------------------
-
-
-def _require_bar(res: Resolution):
-    if res.kind != "bar":
-        raise GroupError("this diagonal is defined on bar resolutions only")
-
-
-def aw_diagonal(bar: Resolution, n: int) -> ChainMapToTensor:
-    """Alexander-Whitney diagonal component in every bidegree (a, n-a).
-
-    On homogeneous tuples: (g_0..g_n) -> sum_a (g_0..g_a) (x) (g_a..g_n).
-    """
-    _require_bar(bar)
-    g = bar.group
-    e = g.identity
-    cm = ChainMapToTensor(source=bar, factors=2, degree_shift=0)
-    for a in range(n + 1):
-        b = n - a
-        comp = {}
-        for lab in bar.labels(n):
-            prefix = lab[:a]
-            anchor = lab[a - 1] if a >= 1 else e
-            inv = g.inverse(anchor)
-            suffix = tuple(g.multiply(inv, x) for x in lab[a - 1:][1:]) if a >= 1 else lab
-            comp[lab] = [(1, ((e, prefix), (anchor, suffix)))]
-        cm.components[(n, (a, b))] = comp
-    return cm
-
-
-def steenrod_cup1(bar: Resolution, n: int) -> ChainMapToTensor:
-    """Steenrod's cup-1 map, a degree +1 homotopy between the plain and
-    twisted Alexander-Whitney diagonals.
-
-    (g_0..g_n) -> sum_{i<j} (-1)^{n+(n-i-1)(j-i-1)}
-                  (g_0..g_i, g_j..g_n) (x) (g_i..g_j).
-    """
-    _require_bar(bar)
-    g = bar.group
-    e = g.identity
-    cm = ChainMapToTensor(source=bar, factors=2, degree_shift=1)
-    for d2 in range(n + 2):
-        d1 = n + 1 - d2
-        cm.components[(n, (d1, d2))] = {lab: [] for lab in bar.labels(n)}
-    for lab in bar.labels(n):
-        homog = (e,) + lab  # g_0..g_n with g_k = lab[k-1]
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                outer = lab[:i] + lab[j - 1:]
-                anchor = homog[i]
-                inv = g.inverse(anchor)
-                inner = tuple(g.multiply(inv, homog[k]) for k in range(i + 1, j + 1))
-                sign = -1 if (n + (n - i - 1) * (j - i - 1)) % 2 else 1
-                d1, d2 = n - (j - i) + 1, j - i
-                cm.components[(n, (d1, d2))][lab].append(
-                    (sign, ((e, outer), (anchor, inner)))
-                )
-    return cm
 
 
 # -- cyclic resolutions: the periodic diagonal and its homotopy ---------
@@ -393,11 +327,11 @@ def _apply_tensor_differential(res: Resolution, multidegree, terms):
             if dk == 0:
                 continue
             sign = -1 if sum(multidegree[:k]) % 2 else 1
-            d = res.differential(dk)
             col = res.labels(dk).index(lab)
             for row, tgt in enumerate(res.labels(dk - 1)):
-                entry = d[row][col]
-                for h, c in entry.coeffs.items():
+                entry = res.entry(dk, row, col)
+                for h in np.flatnonzero(entry):
+                    c = int(entry[h])
                     new_pieces = list(pieces)
                     new_pieces[k] = (int(g.mul[gk, h]), tgt)
                     nd = tuple(
@@ -446,10 +380,10 @@ def homotopy_identity_residual(
                     add(nd, dterms, 1)
             # H d(gen)
             if n >= 1:
-                d = res.differential(n)
                 for row, tgt in enumerate(res.labels(n - 1)):
-                    entry = d[row][lab_i]
-                    for h, c in entry.coeffs.items():
+                    entry = res.entry(n, row, lab_i)
+                    for h in np.flatnonzero(entry):
+                        c = int(entry[h])
                         for md in _triples(n):
                             terms = hmap.component(n - 1, md).get(tgt, [])
                             scaled = [(c * tc, pc) for tc, pc in terms]
@@ -490,77 +424,6 @@ def _iterate_diagonal(res, diag, n, trip, lab, first: bool):
                     )
                 )
     return terms
-
-
-def tau_terms(terms, multidegree):
-    """tau on a two-factor term list: swap with sign (-1)^{ab}."""
-    a, b = multidegree
-    sign = -1 if (a * b) % 2 else 1
-    return [(sign * c, (p2, p1)) for c, (p1, p2) in terms]
-
-
-def cup1_identity_residual(bar: Resolution, max_total_degree: int) -> int:
-    """Max residual of d D1 + D1 d = D0 - tau D0 on a bar resolution.
-
-    The orientation matches STEENROD_MEDIATES_TO_PLAIN: with Steenrod's
-    exponent f(i,j,n) = n + (n-i-1)(j-i-1) the homotopy boundary is the
-    plain diagonal minus the twisted one.
-    """
-    p = bar.p
-    worst = 0
-    top = min(max_total_degree, bar.max_degree - 1)
-    for n in range(top + 1):
-        d1n = steenrod_cup1(bar, n)
-        d1prev = steenrod_cup1(bar, n - 1) if n >= 1 else None
-        d0n = aw_diagonal(bar, n)
-        labels = bar.labels(n)
-        diff = bar.differential(n) if n >= 1 else None
-        prev_labels = bar.labels(n - 1) if n >= 1 else []
-        for lab_i, lab in enumerate(labels):
-            sides: dict[tuple, np.ndarray] = {}
-
-            def add(md, terms, sign):
-                v = _terms_to_dense(bar, md, terms, p) * sign
-                sides[md] = (sides.get(md, 0) + v) % p
-
-            for md in ((a, n + 1 - a) for a in range(n + 2)):
-                terms = d1n.component(n, md).get(lab, [])
-                for nd, dterms in _apply_tensor_differential(bar, md, terms).items():
-                    add(nd, dterms, 1)
-            if n >= 1:
-                for row, tgt in enumerate(prev_labels):
-                    entry = diff[row][lab_i]
-                    for h, c in entry.coeffs.items():
-                        for md in ((a, n - a) for a in range(n + 1)):
-                            terms = d1prev.component(n - 1, md).get(tgt, [])
-                            scaled = [(c * tc, pc) for tc, pc in terms]
-                            add(md, _translate(bar, scaled, h), 1)
-            for md in ((a, n - a) for a in range(n + 1)):
-                terms = d0n.component(n, md).get(lab, [])
-                add(md, terms, -1)
-                # + tau D0: swapped terms land in the mirrored component
-                swapped_md = (md[1], md[0])
-                add(swapped_md, tau_terms(terms, md), 1)
-
-            for v in sides.values():
-                r = np.asarray(v) % p
-                if r.any():
-                    worst = max(worst, int(np.minimum(r, p - r).max()))
-    return worst
-
-
-def aw_coassociativity_residual(bar: Resolution, max_total_degree: int) -> int:
-    """Coassociativity of Alexander-Whitney, checked densely."""
-    diag = ChainMapToTensor(source=bar, factors=2, degree_shift=0)
-    per_degree: dict[int, ChainMapToTensor] = {}
-
-    def build(n, md):
-        if n not in per_degree:
-            per_degree[n] = aw_diagonal(bar, n)
-        return per_degree[n].component(n, md)
-
-    diag._builder = build
-    return coassociativity_residual(bar, diag, max_total_degree)
 
 
 def coassociativity_residual(

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "FpMatrix",
     "LinAlgError",
     "rank",
     "kernel_basis",
@@ -36,35 +35,6 @@ def _as_array(entries, p: int, cols: int | None = None) -> np.ndarray:
     if a.ndim != 2:
         raise LinAlgError(f"expected a 2-d array, got shape {a.shape}")
     return a % p
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Dense matrix over F_p, row-major, entries reduced into [0, p)."""
-
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise LinAlgError(f"modulus must be a prime >= 2, got {self.p}")
-        object.__setattr__(self, "entries", _as_array(self.entries, self.p))
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @classmethod
-    def zero(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -107,21 +77,17 @@ def row_space(m: np.ndarray, p: int) -> np.ndarray:
     return rref(m, p)[0]
 
 
-def rank(m: FpMatrix | np.ndarray, p: int | None = None) -> int:
+def rank(m: np.ndarray, p: int) -> int:
     """Rank of m over F_p."""
-    if isinstance(m, FpMatrix):
-        m, p = m.entries, m.p
     return len(rref(m, p)[1])
 
 
-def kernel_basis(m: FpMatrix | np.ndarray, p: int | None = None) -> np.ndarray:
+def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel {v : m v = 0}, one vector per row.
 
     The basis is the canonical one read off the reduced echelon form
     (unit entry in each free column), so the output is deterministic.
     """
-    if isinstance(m, FpMatrix):
-        m, p = m.entries, m.p
     m = _as_array(m, p)
     n_cols = m.shape[1]
     r, pivots = rref(m, p)
@@ -134,17 +100,13 @@ def kernel_basis(m: FpMatrix | np.ndarray, p: int | None = None) -> np.ndarray:
     return out
 
 
-def solve_linear(
-    m: FpMatrix | np.ndarray, target, p: int | None = None
-) -> np.ndarray | None:
+def solve_linear(m: np.ndarray, target, p: int) -> np.ndarray | None:
     """One solution of m v = target, or None when inconsistent.
 
     Free variables are set to zero under the fixed left-to-right column
     order, so the returned solution is deterministic and depends linearly
     on the target (for a fixed m).
     """
-    if isinstance(m, FpMatrix):
-        m, p = m.entries, m.p
     m = _as_array(m, p)
     t = np.asarray(target, dtype=np.int64).reshape(-1) % p
     if t.shape[0] != m.shape[0]:
@@ -204,18 +166,6 @@ class Subquotient:
         if np.any(resid):
             raise LinAlgError("vector is not a cycle (not in the cycle span)")
         return c_r.copy()
-
-    def reduce_many(self, vs: np.ndarray) -> np.ndarray:
-        return np.array([self.reduce(v) for v in np.atleast_2d(vs)], dtype=np.int64).reshape(
-            -1, self.dim
-        )
-
-    def contains(self, v) -> bool:
-        try:
-            self.reduce(v)
-            return True
-        except LinAlgError:
-            return False
 
     def lift(self, coords) -> np.ndarray:
         """Representative cycle of the class with the given coordinates."""

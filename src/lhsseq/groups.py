@@ -1,4 +1,4 @@
-"""Finite groups as multiplication tables, and group-algebra arithmetic.
+"""Finite groups as multiplication tables, and abelian p-group encodings.
 
 Elements are integer indices into a fixed table.  Abelian p-groups carry
 a mixed-radix encoding (first factor most significant) that every other
@@ -17,10 +17,10 @@ __all__ = [
     "GroupError",
     "FiniteGroupTable",
     "AbelianPGroupSpec",
-    "GroupAlgebraElement",
-    "ga_multiply",
     "cyclic_group",
     "direct_product",
+    "is_prime",
+    "smallest_prime_factor",
 ]
 
 
@@ -29,6 +29,22 @@ class GroupError(ValueError):
 
 
 AXIOM_CHECK_MAX_ORDER = 64
+
+
+def smallest_prime_factor(n: int) -> int:
+    """The smallest prime dividing n >= 2."""
+    if n < 2:
+        raise GroupError(f"{n} has no prime factor")
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            return q
+        q += 1
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 @dataclass
@@ -87,6 +103,15 @@ class FiniteGroupTable:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
+    def is_p_group(self, p: int) -> bool:
+        """Whether p is prime and the order is a power of p."""
+        if not is_prime(p):
+            return False
+        n = self.order
+        while n % p == 0:
+            n //= p
+        return n == 1
+
     def is_abelian(self) -> bool:
         return (self.mul == self.mul.T).all()
 
@@ -140,7 +165,7 @@ class AbelianPGroupSpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if self.p < 2:
+        if not is_prime(self.p):
             raise GroupError(f"p must be a prime, got {self.p}")
         object.__setattr__(self, "exponents", tuple(int(m) for m in self.exponents))
         if any(m < 1 for m in self.exponents):
@@ -179,93 +204,3 @@ class AbelianPGroupSpec:
         g = reduce(direct_product, tables)
         g.name = "+".join(f"C{n}" for n in self.factor_orders)
         return g
-
-
-@dataclass
-class GroupAlgebraElement:
-    """Element of F_p[G], stored as a dense coefficient vector over G."""
-
-    group: FiniteGroupTable
-    p: int
-    vec: np.ndarray = None
-
-    def __post_init__(self):
-        if self.vec is None:
-            self.vec = np.zeros(self.group.order, dtype=np.int64)
-        self.vec = np.asarray(self.vec, dtype=np.int64) % self.p
-        if self.vec.shape != (self.group.order,):
-            raise GroupError("coefficient vector length must equal the group order")
-
-    @classmethod
-    def from_coeffs(cls, group, p, coeffs: dict[int, int]) -> "GroupAlgebraElement":
-        vec = np.zeros(group.order, dtype=np.int64)
-        for g, c in coeffs.items():
-            vec[g] = c % p
-        return cls(group, p, vec)
-
-    @classmethod
-    def basis_element(cls, group, p, g: int, coeff: int = 1) -> "GroupAlgebraElement":
-        return cls.from_coeffs(group, p, {g: coeff})
-
-    @classmethod
-    def one(cls, group, p) -> "GroupAlgebraElement":
-        return cls.basis_element(group, p, group.identity)
-
-    @classmethod
-    def norm(cls, group, p) -> "GroupAlgebraElement":
-        return cls(group, p, np.ones(group.order, dtype=np.int64))
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return {int(g): int(c) for g, c in enumerate(self.vec) if c}
-
-    def is_zero(self) -> bool:
-        return not self.vec.any()
-
-    def augmentation(self) -> int:
-        return int(self.vec.sum() % self.p)
-
-    def __add__(self, other):
-        self._check(other)
-        return GroupAlgebraElement(self.group, self.p, (self.vec + other.vec) % self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GroupAlgebraElement(self.group, self.p, (self.vec - other.vec) % self.p)
-
-    def __neg__(self):
-        return GroupAlgebraElement(self.group, self.p, (-self.vec) % self.p)
-
-    def scale(self, c: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.group, self.p, (self.vec * (c % self.p)) % self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return ga_multiply(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.group is other.group
-            and self.p == other.p
-            and (self.vec == other.vec).all()
-        )
-
-    def _check(self, other):
-        if self.group is not other.group or self.p != other.p:
-            raise GroupError("group algebra elements live over different groups")
-
-    def __repr__(self):
-        terms = [f"{c}*g{g}" for g, c in sorted(self.coeffs.items())]
-        return " + ".join(terms) if terms else "0"
-
-
-def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution product in F_p[G]."""
-    a._check(b)
-    out = np.zeros(a.group.order, dtype=np.int64)
-    for g, c in enumerate(a.vec):
-        if c:
-            np.add.at(out, a.group.mul[g], c * b.vec)
-    return GroupAlgebraElement(a.group, a.p, out % a.p)

@@ -28,11 +28,10 @@ import numpy as np
 
 from .extensions import ExtensionSpec, build_extension_group, extension_projection
 from .fplinalg import kernel_basis, rank, subquotient_of
-from .groups import FiniteGroupTable, GroupError
+from .groups import FiniteGroupTable, GroupError, smallest_prime_factor
 from .resolutions import Resolution, abelian_minimal_resolution
 
 __all__ = [
-    "MinimalResolutionData",
     "minimal_resolution",
     "cohomology_dims",
     "double_complex_ss",
@@ -40,29 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_BIDEGREE_BUDGET = 100_000
-
-
-@dataclass
-class MinimalResolutionData:
-    group: FiniteGroupTable
-    p: int
-    max_degree: int
-    ranks: list[int]
-    differentials: list[np.ndarray]  # F_p matrices, index n >= 1
-
-    def algebra_entries(self, n: int) -> list[list[np.ndarray]]:
-        """Differential n as a matrix of group-algebra coefficient vectors."""
-        order = self.group.order
-        e = self.group.identity
-        m = self.differentials[n - 1]
-        rows, cols = self.ranks[n - 1], self.ranks[n]
-        out = []
-        for a in range(rows):
-            row = []
-            for b in range(cols):
-                row.append(m[a * order : (a + 1) * order, b * order + e].copy())
-            out.append(row)
-        return out
 
 
 def _generating_set(group: FiniteGroupTable) -> list[int]:
@@ -105,26 +81,17 @@ def _act_matrix(group: FiniteGroupTable, g: int, n_blocks: int) -> np.ndarray:
     return perm
 
 
-def _is_p_group(group: FiniteGroupTable, p: int) -> bool:
-    n = group.order
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None = None) -> MinimalResolutionData:
-    """Minimal free resolution of F_p over F_p[group], group a p-group.
+def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None = None) -> Resolution:
+    """Minimal free resolution of F_p over F_p[group], group a p-group;
+    p defaults to the smallest prime dividing the order.
 
     At each step the kernel of the current differential is computed as an
     F_p subspace; new free generators map onto representatives of the
     kernel modulo (augmentation ideal) * kernel, chosen by echelon pivots.
     """
     if p is None:
-        for q in (2, 3, 5, 7, 11, 13):
-            if group.order % q == 0:
-                p = q
-                break
-    if p is None or not _is_p_group(group, p):
+        p = smallest_prime_factor(group.order)
+    if not group.is_p_group(p):
         raise GroupError("minimal resolutions require a p-group (local algebra)")
     order = group.order
     gens = _generating_set(group)
@@ -150,19 +117,14 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
         ranks.append(new_rank)
         diffs.append(d)
         current = d
-    return MinimalResolutionData(
-        group=group, p=p, max_degree=max_degree, ranks=ranks, differentials=diffs
+    return Resolution(
+        group=group,
+        p=p,
+        ranks=ranks,
+        differentials=diffs,
+        basis_labels=[list(range(r)) for r in ranks],
+        kind="minimal",
     )
-
-
-def minimality_check(data: MinimalResolutionData) -> bool:
-    """Every differential entry must lie in the augmentation ideal."""
-    for n in range(1, data.max_degree + 1):
-        for row in data.algebra_entries(n):
-            for vec in row:
-                if vec.sum() % data.p:
-                    return False
-    return True
 
 
 def cohomology_dims(group: FiniteGroupTable, max_degree: int, p: int | None = None) -> list[int]:
@@ -223,7 +185,7 @@ class _HomDoubleComplex:
         return self.P.rank(i)
 
     def b(self, j: int) -> int:
-        return self.Q.ranks[j] if 0 <= j <= self.Q.max_degree else 0
+        return self.Q.rank(j)
 
     def dim(self, i: int, j: int) -> int:
         if i < 0 or j < 0:
@@ -234,27 +196,14 @@ class _HomDoubleComplex:
 
     def d1_block(self, i: int, j: int) -> np.ndarray:
         """(i, j) -> (i+1, j), adjoint of the P differential."""
-        rows, cols = self.dim(i + 1, j), self.dim(i, j)
-        m = np.zeros((rows, cols), dtype=np.int64)
-        if rows == 0 or cols == 0:
-            return m
-        d = self.P.differential(i + 1)
-        bj = self.b(j)
-        gmul = self.G.mul
-        betas = np.arange(bj)
-        for ap in range(self.a(i + 1)):
-            for al in range(self.a(i)):
-                entry = d[al][ap]
-                if entry.is_zero():
-                    continue
-                for gpp, c in entry.coeffs.items():
-                    for g in range(self.ng):
-                        row0 = (g * self.a(i + 1) + ap) * bj
-                        col0 = (int(gmul[g, gpp]) * self.a(i) + al) * bj
-                        m[row0 + betas, col0 + betas] = (
-                            m[row0 + betas, col0 + betas] + c
-                        ) % self.p
-        return m
+        ai, ai1, ng = self.a(i), self.a(i + 1), self.ng
+        if self.dim(i + 1, j) == 0:
+            return np.zeros((self.dim(i + 1, j), self.dim(i, j)), dtype=np.int64)
+        # P coordinate (alpha, h) of d(g gen_alpha') becomes entry
+        # ((g, alpha'), (h, alpha)) of the adjoint
+        d = self.P.differentials[i].reshape(ai, ng, ai1, ng)
+        k = d.transpose(3, 2, 1, 0).reshape(ng * ai1, ng * ai)
+        return np.kron(k, np.eye(self.b(j), dtype=np.int64))
 
     def d0_block(self, i: int, j: int) -> np.ndarray:
         """(i, j) -> (i, j+1), adjoint of (-1)^i times the Q differential."""
@@ -263,7 +212,6 @@ class _HomDoubleComplex:
         if rows == 0 or cols == 0:
             return m
         sign = -1 if i % 2 else 1
-        entries = self.Q.algebra_entries(j + 1)
         ai = self.a(i)
         ginv = self.G.inv
         gmul = self.G.mul
@@ -272,7 +220,7 @@ class _HomDoubleComplex:
         al_arr = np.tile(np.arange(ai), self.ng)
         for bp in range(bj1):
             for bl in range(bj):
-                vec = entries[bl][bp]
+                vec = self.Q.entry(j + 1, bl, bp)
                 for e_elt in np.nonzero(vec)[0]:
                     c = int(vec[e_elt]) * sign
                     src_g = gmul[ginv[int(self.pi[e_elt])], g_arr]

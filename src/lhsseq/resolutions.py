@@ -1,40 +1,28 @@
 """Free resolutions of F_p over group algebras.
 
-Three constructions: the (unnormalized) bar resolution, the rank-one
-periodic resolution of a cyclic group with differentials alternating
-(g - 1) and the norm, and tensor products of resolutions over direct
-products with the usual Koszul sign d(a (x) b) = da (x) b + (-1)^|a| a (x) db.
-
-Bar basis convention: the free generator labelled (a_1, ..., a_n) is the
-homogeneous tuple (1, a_1, ..., a_n); the group acts by left translation
-on homogeneous tuples.
+Two constructions: the rank-one periodic resolution of a cyclic group
+with differentials alternating (g - 1) and the norm, and tensor products
+of resolutions over direct products with the usual Koszul sign
+d(a (x) b) = da (x) b + (-1)^|a| a (x) db.  The bar resolution lives only
+in the verifier's double complex.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fplinalg import rank
-from .groups import (
-    AbelianPGroupSpec,
-    FiniteGroupTable,
-    GroupAlgebraElement,
-    GroupError,
-    cyclic_group,
-    direct_product,
-)
+from .groups import AbelianPGroupSpec, FiniteGroupTable, GroupError, cyclic_group, direct_product
 
 __all__ = [
     "Resolution",
     "BudgetExceeded",
-    "bar_resolution",
     "cyclic_resolution",
     "tensor_resolution",
     "abelian_minimal_resolution",
-    "module_map_matrix",
+    "homology_dims",
 ]
 
 DEFAULT_BASIS_BUDGET = 2_000_000
@@ -48,153 +36,69 @@ class BudgetExceeded(RuntimeError):
 class Resolution:
     """Graded free modules over F_p[group] with differentials.
 
-    differentials[n] is the rank(n-1) x rank(n) matrix of group-algebra
-    elements with d(gen_j) = sum_i d[i][j] gen_i.  Bar resolutions build
-    their differential matrices lazily.
+    differentials[n-1] is d_n as a flat F_p matrix with entries in
+    [0, p), of shape (rank(n-1) |G|) x (rank(n) |G|): module coordinate
+    (b, h) at index b |G| + h holds the coefficient of h * gen_b.
     """
 
     group: FiniteGroupTable
     p: int
-    max_degree: int
     ranks: list[int]
-    basis_labels: list[list] | None
-    minimal: bool
+    differentials: list[np.ndarray]
+    basis_labels: list[list]
     kind: str
-    _diffs: dict[int, list[list[GroupAlgebraElement]]] = field(default_factory=dict)
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.ranks) - 1
 
     def rank(self, n: int) -> int:
         return self.ranks[n] if 0 <= n <= self.max_degree else 0
 
-    _label_cache: dict = field(default_factory=dict)
-
     def labels(self, n: int) -> list:
-        if self.basis_labels is None:  # bar: tuples over the group, lazily
-            if n not in self._label_cache:
-                self._label_cache[n] = list(
-                    itertools.product(range(self.group.order), repeat=n)
-                )
-            return self._label_cache[n]
         return self.basis_labels[n]
 
-    def differential(self, n: int) -> list[list[GroupAlgebraElement]]:
-        """Matrix of d_n : P_n -> P_{n-1} (1 <= n <= max_degree)."""
-        if n not in self._diffs:
-            if self.kind != "bar":
-                raise GroupError(f"differential {n} out of range")
-            self._diffs[n] = _bar_differential(self, n)
-        return self._diffs[n]
+    def entry(self, n: int, i: int, j: int) -> np.ndarray:
+        """Coefficients over the group of gen_i in d_n(gen_j)."""
+        order = self.group.order
+        col = j * order + self.group.identity
+        return self.differentials[n - 1][i * order : (i + 1) * order, col]
 
-    def check_d_squared(self, up_to: int | None = None) -> bool:
-        top = self.max_degree if up_to is None else min(up_to, self.max_degree)
-        for n in range(2, top + 1):
-            d1 = self.differential(n - 1)
-            d2 = self.differential(n)
-            for i in range(self.rank(n - 2)):
-                for k in range(self.rank(n)):
-                    acc = GroupAlgebraElement(self.group, self.p)
-                    for j in range(self.rank(n - 1)):
-                        acc = acc + d1[i][j] * d2[j][k]
-                    if not acc.is_zero():
-                        return False
-        return True
+    def check_d_squared(self) -> bool:
+        d = self.differentials
+        return not any(((a @ b) % self.p).any() for a, b in zip(d, d[1:]))
 
-    def augmentation_of_differentials_vanishes(self, up_to: int | None = None) -> bool:
-        top = self.max_degree if up_to is None else min(up_to, self.max_degree)
-        for n in range(1, top + 1):
-            for row in self.differential(n):
-                for entry in row:
-                    if entry.augmentation():
-                        return False
-        return True
-
-
-def _bar_differential(res: Resolution, n: int) -> list[list[GroupAlgebraElement]]:
-    g = res.group
-    order = g.order
-    src = list(itertools.product(range(order), repeat=n))
-    tgt_index = {lab: i for i, lab in enumerate(itertools.product(range(order), repeat=n - 1))}
-    mat = [
-        [GroupAlgebraElement(g, res.p) for _ in range(len(src))]
-        for _ in range(len(tgt_index))
-    ]
-    for j, lab in enumerate(src):
-        for sign, mult, tgt in _bar_faces(g, lab):
-            i = tgt_index[tgt]
-            mat[i][j] = mat[i][j] + GroupAlgebraElement.basis_element(g, res.p, mult, sign)
-    return mat
-
-
-def _bar_faces(g: FiniteGroupTable, lab: tuple[int, ...]):
-    """Faces of d(1, a_1, ..., a_n) expressed over free generators.
-
-    Omitting position 0 gives a_1 * (1, a_1^{-1}a_2, ..., a_1^{-1}a_n);
-    omitting an inner or last position just drops the entry.
-    """
-    n = len(lab)
-    a1 = lab[0]
-    inv_a1 = g.inverse(a1)
-    rel = tuple(g.multiply(inv_a1, a) for a in lab[1:])
-    yield 1, a1, rel
-    for k in range(1, n + 1):
-        yield (-1) ** k, g.identity, lab[:k - 1] + lab[k:]
-
-
-def bar_resolution(
-    group: FiniteGroupTable, max_degree: int, budget: int = DEFAULT_BASIS_BUDGET
-) -> Resolution:
-    """The standard (bar) resolution; rank(n) = |G|^n, not minimal."""
-    total = sum(group.order**n for n in range(max_degree + 1))
-    if total > budget:
-        raise BudgetExceeded(
-            f"bar resolution needs {total} basis elements, budget is {budget}"
+    def is_minimal(self) -> bool:
+        """A p-group, and every differential entry in the augmentation ideal."""
+        order = self.group.order
+        return self.group.is_p_group(self.p) and not any(
+            (d.reshape(d.shape[0] // order, order, d.shape[1]).sum(axis=1) % self.p).any()
+            for d in self.differentials
         )
-    p = _char_of(group)
-    ranks = [group.order**n for n in range(max_degree + 1)]
-    return Resolution(
-        group=group,
-        p=p,
-        max_degree=max_degree,
-        ranks=ranks,
-        basis_labels=None,
-        minimal=False,
-        kind="bar",
-    )
-
-
-def _char_of(group: FiniteGroupTable) -> int:
-    """Smallest prime dividing the group order (our groups are p-groups)."""
-    n = group.order
-    for p in (2, 3, 5, 7, 11, 13):
-        if n % p == 0:
-            return p
-    raise GroupError(f"cannot infer a coefficient prime for order {n}")
-
-
-def _is_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def cyclic_resolution(n_order: int, p: int, max_degree: int) -> Resolution:
     """Rank-one resolution of C_n: d(e_i) = (g-1)e_{i-1} for i odd and
     the norm element times e_{i-1} for i even."""
     g = cyclic_group(n_order)
-    gm1 = GroupAlgebraElement.from_coeffs(g, p, {1: 1, 0: -1})
-    norm = GroupAlgebraElement.norm(g, p)
-    diffs = {
-        n: [[gm1 if n % 2 else norm]] for n in range(1, max_degree + 1)
-    }
-    labels = [[(n,)] for n in range(max_degree + 1)]
+    one = np.eye(n_order, dtype=np.int64)
+    gm1 = (np.roll(one, 1, axis=0) - one) % p  # column h holds g h - h
+    norm = np.ones((n_order, n_order), dtype=np.int64)
     return Resolution(
         group=g,
         p=p,
-        max_degree=max_degree,
         ranks=[1] * (max_degree + 1),
-        basis_labels=labels,
-        minimal=_is_power(n_order, p),
+        differentials=[gm1 if n % 2 else norm for n in range(1, max_degree + 1)],
+        basis_labels=[[(n,)] for n in range(max_degree + 1)],
         kind="cyclic",
-        _diffs=diffs,
+    )
+
+
+def _regroup(m: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """Reorder a Kronecker product's coordinates from (alpha, a, beta, b)
+    to (alpha, beta, a, b) on both sides; rows and cols give the sizes."""
+    return m.reshape(rows + cols).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(
+        int(np.prod(rows)), int(np.prod(cols))
     )
 
 
@@ -208,71 +112,52 @@ def tensor_resolution(a: Resolution, b: Resolution) -> Resolution:
         raise GroupError("tensor factors have different coefficient primes")
     p = a.p
     g = direct_product(a.group, b.group)
-    nb = b.group.order
+    na, nb = a.group.order, b.group.order
     max_degree = min(a.max_degree, b.max_degree)
 
-    labels = []
-    for n in range(max_degree + 1):
-        row = []
+    labels = [
+        [(la, lb, i, n - i) for i in range(n + 1) for la in a.labels(i) for lb in b.labels(n - i)]
+        for n in range(max_degree + 1)
+    ]
+    # first generator of the block A_i (x) B_{n-i} within degree n
+    starts = [
+        np.cumsum([0] + [a.rank(i) * b.rank(n - i) for i in range(n)])
+        for n in range(max_degree + 1)
+    ]
+
+    diffs = []
+    for n in range(1, max_degree + 1):
+        d = np.zeros((len(labels[n - 1]) * g.order, len(labels[n]) * g.order), dtype=np.int64)
         for i in range(n + 1):
             j = n - i
-            for la in a.labels(i):
-                for lb in b.labels(j):
-                    row.append((la, lb, i, j))
-        labels.append(row)
-    ranks = [len(row) for row in labels]
-
-    def embed_a(el: GroupAlgebraElement) -> GroupAlgebraElement:
-        vec = np.zeros(g.order, dtype=np.int64)
-        vec[np.arange(a.group.order) * nb] = el.vec
-        return GroupAlgebraElement(g, p, vec)
-
-    def embed_b(el: GroupAlgebraElement) -> GroupAlgebraElement:
-        vec = np.zeros(g.order, dtype=np.int64)
-        vec[np.arange(nb)] = el.vec
-        return GroupAlgebraElement(g, p, vec)
-
-    diffs = {}
-    for n in range(1, max_degree + 1):
-        src = labels[n]
-        tgt_index = {lab: i for i, lab in enumerate(labels[n - 1])}
-        index_a = [{lab: k for k, lab in enumerate(a.labels(i))} for i in range(max_degree + 1)]
-        index_b = [{lab: k for k, lab in enumerate(b.labels(j))} for j in range(max_degree + 1)]
-        mat = [
-            [GroupAlgebraElement(g, p) for _ in range(len(src))]
-            for _ in range(len(tgt_index))
-        ]
-        for col, (la, lb, i, j) in enumerate(src):
+            c0 = starts[n][i] * g.order
+            cols = (a.rank(i), na, b.rank(j), nb)
             if i >= 1:
-                da = a.differential(i)
-                ka = index_a[i][la]
-                for row_a, target_a in enumerate(a.labels(i - 1)):
-                    entry = da[row_a][ka]
-                    if entry.is_zero():
-                        continue
-                    r = tgt_index[(target_a, lb, i - 1, j)]
-                    mat[r][col] = mat[r][col] + embed_a(entry)
+                block = _regroup(
+                    np.kron(a.differentials[i - 1], np.eye(b.rank(j) * nb, dtype=np.int64)),
+                    (a.rank(i - 1), na, b.rank(j), nb),
+                    cols,
+                )
+                r0 = starts[n - 1][i - 1] * g.order
+                d[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
             if j >= 1:
-                db = b.differential(j)
-                kb = index_b[j][lb]
                 sign = -1 if i % 2 else 1
-                for row_b, target_b in enumerate(b.labels(j - 1)):
-                    entry = db[row_b][kb]
-                    if entry.is_zero():
-                        continue
-                    r = tgt_index[(la, target_b, i, j - 1)]
-                    mat[r][col] = mat[r][col] + embed_b(entry).scale(sign)
-        diffs[n] = mat
+                block = _regroup(
+                    sign * np.kron(np.eye(a.rank(i) * na, dtype=np.int64), b.differentials[j - 1]),
+                    (a.rank(i), na, b.rank(j - 1), nb),
+                    cols,
+                )
+                r0 = starts[n - 1][i] * g.order
+                d[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block % p
+        diffs.append(d)
 
     return Resolution(
         group=g,
         p=p,
-        max_degree=max_degree,
-        ranks=ranks,
+        ranks=[len(row) for row in labels],
+        differentials=diffs,
         basis_labels=labels,
-        minimal=a.minimal and b.minimal,
         kind="tensor",
-        _diffs=diffs,
     )
 
 
@@ -283,14 +168,13 @@ def abelian_minimal_resolution(spec: AbelianPGroupSpec, max_degree: int) -> Reso
     trivial group the resolution is F_p concentrated in degree zero.
     """
     if spec.rank == 0:
-        g = spec.group_table()
+        ranks = [1] + [0] * max_degree
         return Resolution(
-            group=g,
+            group=spec.group_table(),
             p=spec.p,
-            max_degree=max_degree,
-            ranks=[1] + [0] * max_degree,
+            ranks=ranks,
+            differentials=[np.zeros((r, 0), dtype=np.int64) for r in ranks[:-1]],
             basis_labels=[[()]] + [[] for _ in range(max_degree)],
-            minimal=True,
             kind="trivial",
         )
     res = cyclic_resolution(spec.factor_orders[0], spec.p, max_degree)
@@ -317,46 +201,13 @@ def _flatten_multidegree(label) -> tuple[int, ...]:
     raise GroupError(f"unexpected tensor label {label!r}")
 
 
-def module_map_matrix(res: Resolution, n: int) -> np.ndarray:
-    """d_n as a plain F_p-matrix on underlying vectors.
-
-    Module element coordinates are blocks of |G| per free generator, the
-    block entry g holding the coefficient of g * gen.
-    """
-    g = res.group
-    order = g.order
-    rows, cols = res.rank(n - 1) * order, res.rank(n) * order
-    m = np.zeros((rows, cols), dtype=np.int64)
-    d = res.differential(n)
-    for j in range(res.rank(n)):
-        for i in range(res.rank(n - 1)):
-            entry = d[i][j]
-            if entry.is_zero():
-                continue
-            for h, c in entry.coeffs.items():
-                # column block j at group element e maps into row block i
-                # at element h*e with coefficient c
-                cols_idx = j * order + np.arange(order)
-                rows_idx = i * order + g.mul[h, np.arange(order)]
-                m[rows_idx, cols_idx] = (m[rows_idx, cols_idx] + c) % res.p
-    return m
-
-
 def homology_dims(res: Resolution, up_to: int) -> list[int]:
     """dim ker(d_n)/im(d_{n+1}) of the underlying F_p complex, with the
     augmentation in degree 0 (a desk-scale exactness check: all zero)."""
-    g = res.group
+    maps = [np.ones((1, res.group.order), dtype=np.int64)] + res.differentials
     out = []
     for n in range(up_to + 1):
-        if n == 0:
-            aug = np.ones((1, g.order), dtype=np.int64)
-            ker = g.order - rank(aug, res.p)
-        else:
-            mat = module_map_matrix(res, n)
-            ker = mat.shape[1] - rank(mat, res.p)
-        if n + 1 <= res.max_degree:
-            im = rank(module_map_matrix(res, n + 1), res.p)
-        else:
-            im = 0
+        ker = maps[n].shape[1] - rank(maps[n], res.p)
+        im = rank(maps[n + 1], res.p) if n + 1 < len(maps) else 0
         out.append(ker - im)
     return out

@@ -40,6 +40,7 @@ __all__ = [
     "LadderData",
     "build_double_complex",
     "check_lemma1",
+    "d1_cup10_residual",
     "build_eta_family",
     "PRODUCT_KINDS",
 ]
@@ -437,14 +438,7 @@ def check_lemma1(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain):
             phi, cx.d0(theta), "cup10"
         ).scale(sphi)
         out.append(("d0-cup10", r))
-        r = (
-            cx.d1(c10)
-            + cx.product(cx.d1(phi), theta, "cup10")
-            + cx.product(phi, cx.d1(theta), "cup10").scale(sphi)
-            - cx.product(phi, theta, "cup")
-            + cx.product(phi, theta, "wedge")
-        )
-        out.append(("d1-cup10", r))
+        out.append(("d1-cup10", d1_cup10_residual(cx, phi, theta, c10)))
     else:
         out.extend([("d0-cup10", None), ("d1-cup10", None)])
     if phi.j + theta.j >= 1:
@@ -464,6 +458,24 @@ def check_lemma1(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain):
     else:
         out.extend([("d0-cup01", None), ("d1-cup01", None)])
     return out
+
+
+def d1_cup10_residual(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain,
+                      c10: E0Cochain) -> E0Cochain:
+    """Residual of Steenrod's homotopy between the cup and the wedge
+    product along d_1, given c10 = phi cup10 theta:
+
+        d1(c10) + d1(phi) cup10 theta + (-1)^{|phi|} phi cup10 d1(theta)
+            = phi cup theta - phi wedge theta.
+    """
+    sphi = -1 if (phi.total_degree % 2) else 1
+    return (
+        cx.d1(c10)
+        + cx.product(cx.d1(phi), theta, "cup10")
+        + cx.product(phi, cx.d1(theta), "cup10").scale(sphi)
+        - cx.product(phi, theta, "cup")
+        + cx.product(phi, theta, "wedge")
+    )
 
 
 def derivation_residual(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain):

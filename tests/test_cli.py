@@ -155,3 +155,17 @@ def test_bad_spec_file_errors(tmp_path):
     bad.write_text('{p: 3, kernel_m: 1, quotient: [1, 1], xi: "y1*y2*y3"}')
     rc = main(["sseq", "--spec", str(bad), "--max-degree", "8"])
     assert rc == 2
+
+
+def test_non_prime_modulus_errors(capsys):
+    rc = main(["massey", "--p", "4", "--exponents", "1", "--a", "y1", "--b", "y1", "--c", "y1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_group_error_in_spec_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text('{p: 3, kernel_m: 1, quotient: [1, 1], xi: "x1*y1"}')
+    rc = main(["sseq", "--spec", str(bad), "--max-degree", "8"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -4,6 +4,7 @@ import pytest
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.extensions import ExtensionSpec
 from lhsseq.groups import AbelianPGroupSpec, GroupError
+from lhsseq.resolutions import BudgetExceeded
 from lhsseq.verifier import (
     BarDoubleComplex,
     build_double_complex,
@@ -59,6 +60,11 @@ def random_pairs(cx, rng, count, max_total=3):
 def test_dimension_formula(cx4):
     # |G|^{i+1} |E|^j
     assert cx4.dim(2, 2) == 2**3 * 4**2 == 128
+
+
+def test_bar_budget():
+    with pytest.raises(BudgetExceeded):
+        build_double_complex(c4_extension(), 3, budget=100)
 
 
 def test_complex_identities_exhaustive(cx4, cx9):
