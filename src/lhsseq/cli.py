@@ -390,13 +390,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    num = [int(x) for x in args.num.split(",")]
-    den = [1]
     from .engine import poly_mul
 
-    for d in args.den:
-        den = poly_mul(den, [int(x) for x in d.split(",")])
-    coeffs = expand_rational(num, den, args.N)
+    try:
+        num = [int(x) for x in args.num.split(",")]
+        den = [1]
+        for d in args.den:
+            den = poly_mul(den, [int(x) for x in d.split(",")])
+        coeffs = expand_rational(num, den, args.N)
+    except ValueError as exc:
+        raise ParseError(f"expand: {exc}") from exc
     print(" ".join(str(c) for c in coeffs))
     _emit(
         {
@@ -491,7 +494,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, EngineError, MasseyUndefinedError, GroupError) as exc:
+    except (ParseError, EngineError, MasseyUndefinedError, GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,12 @@ Two oracles:
                       - z(p-r+1, r-1, n-1) + z(p-r+1, r, n-1)
 
   where n = p + q and z(p, r, n) = dim (F^p T^n meet D^{-1} F^{p+r}).
-  The z-dimensions come from rank profiles of the total differential:
-  one streaming elimination per total degree yields every (p, r) pair.
+  The z-dimensions come from the rank profile matrix of the total
+  differential (``fplinalg.rank_profile``): with columns ordered by
+  descending filtration and rows by ascending filtration, every
+  z(p, r, n) needs the rank of a corner, a row prefix times a column
+  prefix, which is the number of rank-profile pairs inside it.  One
+  elimination per total degree yields every (p, r) pair.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extensions import ExtensionSpec, build_extension_group, extension_projection
-from .fplinalg import kernel_basis, rank, subquotient_of
+# oracle.rank is not used here but stays importable: perfbench's tracer tests call it
+from .fplinalg import kernel_basis, rank, rank_profile, subquotient_of  # noqa: F401
 from .groups import FiniteGroupTable, GroupError, smallest_prime_factor
 from .resolutions import Resolution, abelian_minimal_resolution
 
@@ -230,64 +235,6 @@ class _HomDoubleComplex:
         return m
 
 
-def _stream_corner_profile(dmat: np.ndarray, col_blocks: np.ndarray,
-                           row_blocks: np.ndarray, p: int):
-    """Pivot records (column block, row block) of a streaming column
-    echelon pass; columns must be pre-sorted by descending block.
-
-    Every pivot column is kept fully reduced (zero at every other pivot
-    row, zero above its own pivot), so for any column prefix and row
-    prefix the corner rank is the number of matching pivot records.
-    """
-    rows, cols = dmat.shape
-    if rows == 0 or cols == 0:
-        return []
-    pivot_store = np.zeros((rows, min(rows, cols)), dtype=np.float32)
-    piv_rows: list[int] = []
-    records: list[tuple[int, int]] = []
-    npiv = 0
-    chunk = 128
-    inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-    for start in range(0, cols, chunk):
-        v = dmat[:, start : start + chunk].astype(np.float32)
-        if npiv:
-            coeff = v[piv_rows, :]
-            v = (v - pivot_store[:, :npiv] @ coeff) % p
-        new_cols = []
-        new_rows = []
-        for k in range(v.shape[1]):
-            col = v[:, k]
-            if new_rows:
-                cc = col[new_rows]
-                if np.any(cc):
-                    col = (col - np.stack(new_cols, axis=1) @ cc) % p
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            r0 = int(nz[0])
-            col = (col * inv_table[int(col[r0])]) % p
-            # keep the chunk's pivots mutually reduced: the batch
-            # reduction of later chunks relies on it
-            for prev in new_cols:
-                if prev[r0]:
-                    prev -= prev[r0] * col
-                    prev %= p
-            new_cols.append(col)
-            new_rows.append(r0)
-            records.append((int(col_blocks[start + k]), int(row_blocks[r0])))
-        if new_rows:
-            vnew = np.stack(new_cols, axis=1)
-            if npiv:
-                pivot_store[:, :npiv] = (
-                    pivot_store[:, :npiv] - vnew @ pivot_store[new_rows, :npiv]
-                ) % p
-            m = len(new_rows)
-            pivot_store[:, npiv : npiv + m] = vnew
-            piv_rows.extend(new_rows)
-            npiv += m
-    return records
-
-
 def double_complex_ss(
     spec: ExtensionSpec,
     max_total_degree: int,
@@ -302,74 +249,36 @@ def double_complex_ss(
 
     dims = {(i, j): cx.dim(i, j) for i in range(deg + 2) for j in range(deg + 2 - i)}
 
-    # cumulative pivot counts per total degree
+    # profiles[n][cb, rb]: rank-profile pairs of D: T^n -> T^{n+1} in
+    # column block cb and row block rb.  Columns run by descending and
+    # rows by ascending filtration, so a corner rank is a rectangle sum.
     profiles = {}
     for n in range(deg + 1):
-        blocks = [i for i in range(n + 1) if dims.get((i, n - i), 0)]
-        col_order = sorted(blocks, reverse=True)
-        col_offsets = {}
-        pos = 0
-        col_blocks = []
-        for i in col_order:
-            col_offsets[i] = pos
-            sz = dims[(i, n - i)]
-            col_blocks.extend([i] * sz)
-            pos += sz
-        ncols = pos
-        row_pos = 0
-        row_offsets = {}
-        row_blocks = []
-        for i in range(n + 2):
-            sz = dims.get((i, n + 1 - i), 0)
-            row_offsets[i] = row_pos
-            row_blocks.extend([i] * sz)
-            row_pos += sz
-        nrows = row_pos
-        dmat = np.zeros((nrows, ncols), dtype=np.int64)
-        for i in col_order:
-            j = n - i
-            c0 = col_offsets[i]
-            csz = dims[(i, j)]
-            b0 = cx.d0_block(i, j)
-            if b0.size:
-                dmat[row_offsets[i] : row_offsets[i] + b0.shape[0], c0 : c0 + csz] = b0
-            b1 = cx.d1_block(i, j)
-            if b1.size:
-                dmat[
-                    row_offsets[i + 1] : row_offsets[i + 1] + b1.shape[0],
-                    c0 : c0 + csz,
-                ] = b1
-        records = _stream_corner_profile(
-            dmat, np.array(col_blocks), np.array(row_blocks), p
-        )
+        cols, rows = list(range(n, -1, -1)), list(range(n + 2))
+        col_sizes = [dims[(i, n - i)] for i in cols]
+        row_sizes = [dims[(i, n + 1 - i)] for i in rows]
+        c_off, r_off = np.cumsum([0] + col_sizes), np.cumsum([0] + row_sizes)
+        dmat = np.zeros((r_off[-1], c_off[-1]), dtype=np.int64)
+        for k, i in enumerate(cols):
+            if col_sizes[k]:
+                block = slice(c_off[k], c_off[k + 1])
+                dmat[r_off[i] : r_off[i + 1], block] = cx.d0_block(i, n - i)
+                dmat[r_off[i + 1] : r_off[i + 2], block] = cx.d1_block(i, n - i)
+        pairs = np.array(rank_profile(dmat, p), dtype=np.int64).reshape(-1, 2)
         cnt = np.zeros((n + 2, n + 3), dtype=np.int64)
-        for cb, rb in records:
-            cnt[cb, rb] += 1
+        np.add.at(cnt, (np.repeat(cols, col_sizes)[pairs[:, 1]],
+                        np.repeat(rows, row_sizes)[pairs[:, 0]]), 1)
         profiles[n] = cnt
 
-    fdim = {}
-    for n in range(deg + 2):
-        for q in range(n + 2):
-            fdim[(q, n)] = sum(dims.get((i, n - i), 0) for i in range(q, n + 1))
-
-    def corner_rank(pp: int, s: int, n: int) -> int:
-        if n not in profiles:
-            return 0
-        cnt = profiles[n]
-        total = 0
-        for cb in range(max(pp, 0), cnt.shape[0]):
-            total += int(cnt[cb, : max(min(s, cnt.shape[1]), 0)].sum())
-        return total
-
     def zdim(pp: int, r: int, n: int) -> int:
+        """dim (F^pp T^n meet D^{-1} F^{pp+r}): F^pp T^n less a corner rank."""
         if n < 0:
             return 0
-        p_eff = max(pp, 0)
-        base = fdim.get((p_eff, n), 0)
-        s = pp + r
-        if s <= 0:
+        lo = max(pp, 0)
+        base = sum(dims.get((i, n - i), 0) for i in range(lo, n + 1))
+        if pp + r <= 0 or n not in profiles:
             return base
-        return base - corner_rank(p_eff, s, n)
+        return base - int(profiles[n][lo:, : pp + r].sum())
 
     tables: dict[int, dict[tuple[int, int], int]] = {}
     for r in range(1, r_max + 1):

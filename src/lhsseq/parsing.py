@@ -183,15 +183,18 @@ def parse_extension_spec(text: str) -> ExtensionSpec:
     missing = {"p", "kernel_m", "quotient", "xi"} - set(fields)
     if missing:
         raise ParseError(f"missing spec fields: {sorted(missing)}")
-    p = int(fields["p"])
-    quotient = AbelianPGroupSpec(p, tuple(int(v) for v in fields["quotient"]))
+    for key, kind in (("p", int), ("kernel_m", int), ("quotient", list)):
+        if not isinstance(fields[key], kind):
+            raise ParseError(f"spec field {key!r} must be {kind.__name__}, got {fields[key]!r}")
+    p = fields["p"]
+    quotient = AbelianPGroupSpec(p, tuple(fields["quotient"]))
     xi = parse_class(str(fields["xi"]), quotient)
     xi_prime = None
     if "xi_prime" in fields:
         xi_prime = parse_class(str(fields["xi_prime"]), quotient)
     return ExtensionSpec(
         p=p,
-        kernel_m=int(fields["kernel_m"]),
+        kernel_m=fields["kernel_m"],
         quotient=quotient,
         xi=xi,
         xi_prime=xi_prime,
@@ -229,7 +232,10 @@ def _parse_value(val: str):
     val = val.strip()
     if val.startswith("[") and val.endswith("]"):
         inner = val[1:-1].strip()
-        return [int(v) for v in inner.split(",")] if inner else []
+        try:
+            return [int(v) for v in inner.split(",")] if inner else []
+        except ValueError:
+            raise ParseError(f"expected a list of integers, got {val!r}") from None
     if val and val[0] in "\"'":
         return val.strip("\"'")
     try:

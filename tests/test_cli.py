@@ -169,3 +169,26 @@ def test_group_error_in_spec_errors(tmp_path, capsys):
     rc = main(["sseq", "--spec", str(bad), "--max-degree", "8"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_integer_modulus_in_spec_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text('{p: three, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}')
+    rc = main(["sseq", "--spec", str(bad), "--max-degree", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_missing_spec_file_errors(tmp_path, capsys):
+    rc = main(["oracle", "--spec", str(tmp_path / "absent.cfg"), "--max-degree", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_expand_non_unit_denominator_errors(capsys):
+    rc = main(["expand", "--num", "1", "--den", "2,1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -5,8 +5,11 @@ import pytest
 
 from lhsseq.fplinalg import (
     LinAlgError,
+    _mul_add,
+    _reduce,
     kernel_basis,
     rank,
+    rank_profile,
     rref,
     solve_linear,
     subquotient_of,
@@ -171,3 +174,52 @@ def test_rref_is_canonical_under_row_shuffle():
     r2, piv2 = rref(m[perm], 5)
     assert piv1 == piv2
     assert (r1 == r2).all()
+
+
+def test_float_product_splits_its_inner_dimension():
+    # at p near 2^21 one chunk holds 2048 products, so 5000 need three
+    p = 2097143
+    rng = np.random.RandomState(4)
+    a = rng.randint(p - 1000, p, size=(3, 5000))
+    b = rng.randint(p - 1000, p, size=(5000, 3))
+    c = rng.randint(0, p, size=(3, 3))
+    want = [
+        [(int(c[i, j]) + sum(int(x) * int(y) for x, y in zip(a[i], b[:, j]))) % p
+         for j in range(3)]
+        for i in range(3)
+    ]
+    assert _mul_add(a, b, p, c).tolist() == want
+
+
+def test_float_product_refuses_p_past_two_to_the_26():
+    ok = np.ones((2, 2), dtype=np.int64)
+    assert _mul_add(ok, ok, 67108859, ok).tolist() == [[3, 3], [3, 3]]
+    with pytest.raises(LinAlgError):
+        _mul_add(ok, ok, 67108879, ok)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2097143])
+def test_float_reduction_is_exact_next_to_multiples_of_p(p):
+    # near 2^53, x * (1/p) rounds across an integer both ways (p = 5 and
+    # p = 2097143 need the correction up and down respectively)
+    rng = np.random.RandomState(6)
+    top = ((1 << 53) - 2 * p) // p
+    k = rng.randint(top // 2, top, size=20000).astype(np.int64)
+    x = np.concatenate([k * p - 1, k * p, k * p + 1])
+    assert (_reduce(x.astype(np.float64), p).astype(np.int64) == x % p).all()
+
+
+def test_blocked_rref_of_known_rank():
+    # 600 x 500 = L R mod 5 with rank exactly 300: L = [I; *], R = [I | *]
+    p, k = 5, 300
+    rng = np.random.RandomState(5)
+    left = np.vstack([np.eye(k, dtype=np.int64), rng.randint(0, p, size=(300, k))])
+    right = np.hstack([np.eye(k, dtype=np.int64), rng.randint(0, p, size=(k, 200))])
+    m = (left @ right) % p
+    r, pivots = rref(m, p)
+    assert pivots == list(range(k))
+    assert (r == right).all()
+    assert rank(m, p) + kernel_basis(m, p).shape[0] == 500
+    assert not ((m @ kernel_basis(m, p).T) % p).any()
+    # the first k rows are independent, so they carry every pivot
+    assert rank_profile(m, p) == [(i, i) for i in range(k)]
