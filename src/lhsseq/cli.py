@@ -30,7 +30,7 @@ from .extensions import build_extension_group
 from .groups import AbelianPGroupSpec, GroupError
 from .oracle import cohomology_dims, double_complex_ss, euler_telescope
 from .parsing import ParseError, parse_class, parse_extension_spec, parse_overrides
-from .resolutions import DEFAULT_BASIS_BUDGET
+from .resolutions import DEFAULT_BASIS_BUDGET, BudgetExceeded
 
 REPORT_VERSION = 1
 
@@ -494,7 +494,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, EngineError, MasseyUndefinedError, GroupError, OSError) as exc:
+    except (ParseError, EngineError, MasseyUndefinedError, GroupError, BudgetExceeded,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

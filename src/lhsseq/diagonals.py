@@ -196,49 +196,6 @@ def tensor_homotopy(
     nb_order = db.source.group.order
     cm = ChainMapToTensor(source=product, factors=3, degree_shift=1)
 
-    def iterated(dmap, n, trip, first: bool):
-        """(D (x) 1)D (first) or (1 (x) D)D components as triple term lists."""
-        out = {}
-        for lab in dmap.source.labels(n):
-            terms = []
-            if first:
-                # split n -> (a1+a2, a3), then a1+a2 -> (a1, a2)
-                m = trip[0] + trip[1]
-                for s0, ((g0, l0), (g3, l3)) in dmap.component(n, (m, trip[2])).get(lab, []):
-                    for s1, ((g1, l1), (g2, l2)) in dmap.component(m, (trip[0], trip[1])).get(
-                        l0, []
-                    ):
-                        gm = dmap.source.group.mul
-                        terms.append(
-                            (
-                                s0 * s1,
-                                (
-                                    (int(gm[g0, g1]), l1),
-                                    (int(gm[g0, g2]), l2),
-                                    (g3, l3),
-                                ),
-                            )
-                        )
-            else:
-                m = trip[1] + trip[2]
-                for s0, ((g1, l1), (g0, l0)) in dmap.component(n, (trip[0], m)).get(lab, []):
-                    for s1, ((g2, l2), (g3, l3)) in dmap.component(m, (trip[1], trip[2])).get(
-                        l0, []
-                    ):
-                        gm = dmap.source.group.mul
-                        terms.append(
-                            (
-                                s0 * s1,
-                                (
-                                    (g1, l1),
-                                    (int(gm[g0, g2]), l2),
-                                    (int(gm[g0, g3]), l3),
-                                ),
-                            )
-                        )
-            out[lab] = terms
-        return out
-
     def build(n, multidegree):
         comp: dict = {}
         for lab in product.labels(n):
@@ -250,14 +207,14 @@ def tensor_homotopy(
                     if tuple(a + b for a, b in zip(atrip, btrip)) != multidegree:
                         continue
                     left = ha.component(i, atrip).get(la, [])
-                    right = iterated(db, j, btrip, first=True).get(lb, [])
+                    right = _iterate_diagonal(db.source, db, j, btrip, lb, first=True)
                     _emit(out, left, right, atrip, btrip, nb_order, 1)
             sign_i = -1 if i % 2 else 1
             for atrip in _triples(i):
                 for btrip in _triples(j + 1):
                     if tuple(a + b for a, b in zip(atrip, btrip)) != multidegree:
                         continue
-                    left = iterated(da, i, atrip, first=False).get(la, [])
+                    left = _iterate_diagonal(da.source, da, i, atrip, la, first=False)
                     right = hb.component(j, btrip).get(lb, [])
                     _emit(out, left, right, atrip, btrip, nb_order, sign_i)
             comp[lab] = out

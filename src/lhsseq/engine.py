@@ -6,7 +6,9 @@ t^k u for j = 2k+1; for a kernel of order two the rows are powers of u
 with u^2 = t and the same bookkeeping applies).  Every page stores, per
 bidegree, nested cycle/boundary subspaces of that fixed coordinate
 space, so the formula differentials can always be evaluated on concrete
-representatives:
+representatives: each d_r is one linear map per bidegree, applied to
+the block of its quotient representatives (rows) by matrix products
+with the cached multiplication and Massey maps:
 
     d2(t^k u chi) = t^k xi chi                   d2(t^k chi) = 0
     d3(t^k chi)   = k t^{k-1} xi' chi            (xi' the Bockstein class)
@@ -14,9 +16,11 @@ representatives:
     d4(t^k u chi) = k t^{k-1} <xi', chi, xi>     (Massey triple product)
     d4(t^k chi)   = k(k-1) t^{k-2} u xi' chi'    with xi chi' = xi' chi
 
+d4 on an even row solves xi chi' = xi' chi for the whole block at once.
 Differentials on pages five and up are zero unless supplied as
 overrides, which are extended over the page by the Leibniz rule (their
-products with surviving base-row classes).
+products with surviving base-row classes), again one solve per bidegree.
+Both kinds reach turn_page as the same (page matrix, image rows) pair.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import CohoClass, RingContext, cup, triple_h
+from .cohomology import CohoClass, RingContext, triple_h
 from .extensions import ExtensionSpec
 from .fplinalg import (
     LinAlgError,
@@ -141,6 +145,10 @@ class EngineContext:
     """Cached ring data for one extension."""
 
     def __init__(self, spec: ExtensionSpec, N: int, r_max: int = DEFAULT_R_MAX, rng=None):
+        if N < 0:
+            raise EngineError(f"max degree must be non-negative, got {N}")
+        if r_max < 2:
+            raise EngineError(f"r_max must be at least 2 (pages start at E_2), got {r_max}")
         self.spec = spec
         self.N = N
         self.r_max = r_max
@@ -205,42 +213,53 @@ def _row_sign(j: int, deg: int) -> int:
     return -1 if (j * deg) % 2 else 1
 
 
-def _formula_value(ctx: EngineContext, r: int, i: int, j: int, vec: np.ndarray):
-    """Image vector of a representative under d_r, in target coordinates
-    of V_{i+r, j-r+1}, or None when the formula gives zero."""
+def _formula_value(ctx: EngineContext, r: int, i: int, j: int, reps: np.ndarray):
+    """Images under d_r of a block of representatives (rows, V_{i,j}
+    coordinates), as rows in V_{i+r, j-r+1} coordinates, or None when the
+    formula gives zero."""
     p = ctx.p
     k, eps = divmod(j, 2)
     if r == 2:
         if eps == 0:
             return None
-        return ctx.mult_matrix(ctx.xi, i, 2) @ vec % p
+        return reps @ ctx.mult_matrix(ctx.xi, i, 2).T % p
     if r == 3:
         coeff = (-k if eps else k) % p
         if coeff == 0:
             return None
-        return coeff * (ctx.mult_matrix(ctx.xi_prime, i, 3) @ vec) % p
+        return coeff * (reps @ ctx.mult_matrix(ctx.xi_prime, i, 3).T) % p
     if r == 4:
         if eps == 1:
             coeff = k % p
             if coeff == 0:
                 return None
-            chi = ctx.ring.from_vector(vec, i)
-            if not (cup(ctx.xi, chi).is_zero() and cup(ctx.xi_prime, chi).is_zero()):
+            if (reps @ ctx.mult_matrix(ctx.xi, i, 2).T % p).any() or (
+                reps @ ctx.mult_matrix(ctx.xi_prime, i, 3).T % p
+            ).any():
                 raise EngineError(
                     "page-4 representative violates the survival conditions "
                     "(page turning is inconsistent)"
                 )
-            val = ctx.massey_map(i) @ vec % p
+            val = reps @ ctx.massey_map(i).T % p
             if ctx.rng is not None:
-                val = _shift_by_indeterminacy(ctx, chi, val, i)
+                # the indeterminacy xi' H^{i+1} + H^{i+2} xi, one column
+                # per nonzero product
+                indet = np.concatenate(
+                    [ctx.mult_matrix(ctx.xi_prime, i + 1, 3), ctx.mult_matrix(ctx.xi, i + 2, 2)],
+                    axis=1,
+                ) % p
+                indet = indet[:, indet.any(axis=0)]
+                if indet.shape[1]:
+                    shift = ctx.rng.randint(0, p, size=(len(reps), indet.shape[1]))
+                    val = (val + shift @ indet.T) % p
             return coeff * val % p
         coeff = (k * (k - 1)) % p
         if coeff == 0:
             return None
-        target = ctx.mult_matrix(ctx.xi_prime, i, 3) @ vec % p
+        target = ctx.mult_matrix(ctx.xi_prime, i, 3) @ reps.T % p
         m_xi = ctx.mult_matrix(ctx.xi, i + 1, 2)
-        chi_prime = solve_linear(m_xi, target, p)
-        if chi_prime is None:
+        chi_prime, solved = solve_linear(m_xi, target, p)
+        if not solved.all():
             raise EngineError(
                 "no solution of xi * chi' = xi' * chi for a surviving class "
                 "(page turning is inconsistent)"
@@ -248,30 +267,27 @@ def _formula_value(ctx: EngineContext, r: int, i: int, j: int, vec: np.ndarray):
         if ctx.rng is not None and m_xi.shape[1]:
             ker = kernel_basis(m_xi, p)
             if ker.shape[0]:
-                shift = ctx.rng.randint(0, p, size=ker.shape[0])
-                chi_prime = (chi_prime + shift @ ker) % p
-        return coeff * (ctx.mult_matrix(ctx.xi_prime, i + 1, 3) @ chi_prime) % p
+                shift = ctx.rng.randint(0, p, size=(len(reps), ker.shape[0]))
+                chi_prime = (chi_prime + (shift @ ker).T) % p
+        return coeff * (chi_prime.T @ ctx.mult_matrix(ctx.xi_prime, i + 1, 3).T) % p
     raise EngineError(f"no closed formula for d_{r}")
 
 
-def _shift_by_indeterminacy(ctx: EngineContext, chi: CohoClass, val: np.ndarray, i: int):
-    """Replace a Massey value by another representative of its coset."""
-    from .cohomology import indeterminacy_basis
-
-    basis = indeterminacy_basis(ctx.xi_prime, chi, ctx.xi)
-    if not basis:
-        return val
-    coeffs = ctx.rng.randint(0, ctx.p, size=len(basis))
-    for c, cls in zip(coeffs, basis):
-        val = (val + c * ctx.ring.to_vector(cls, i + 4)) % ctx.p
-    return val
+def _page_block(r: int, ij: tuple[int, int], tgt: Subquotient, images: np.ndarray):
+    """(page matrix, image rows) of d_r on bidegree ij, from the images of
+    its representatives as rows in the target's ambient coordinates."""
+    try:
+        return tgt.reduce(images).T, images
+    except LinAlgError as exc:
+        raise EngineError(f"d_{r} value at {ij} is not a page-{r} cycle: {exc}") from exc
 
 
 def differential_matrix(ctx: EngineContext, page: Page, r: int):
-    """Per-bidegree d_r data: {(i, j): (page matrix, raw image vectors)}.
+    """Per-bidegree d_r data: {(i, j): (page matrix, image rows)}.
 
     The page matrix maps source page coordinates to target page
-    coordinates; raw vectors are the images in ambient V coordinates.
+    coordinates; image row k is the image of quotient representative k
+    in ambient V coordinates.
     """
     if r != page.r:
         raise EngineError(f"page is at r={page.r}, asked for d_{r}")
@@ -282,25 +298,10 @@ def differential_matrix(ctx: EngineContext, page: Page, r: int):
             # missing target: either a negative row (formulas vanish there)
             # or beyond the truncation, where valid_through already rules
             continue
-        raws = []
-        cols = []
-        for v in cell.quotient_reps:
-            w = _formula_value(ctx, r, i, j, v)
-            if w is None:
-                w = np.zeros(tgt.ambient_dim, dtype=np.int64)
-            raws.append(w)
-            try:
-                cols.append(tgt.reduce(w))
-            except LinAlgError as exc:
-                raise EngineError(
-                    f"d_{r} value at {(i, j)} is not a page-{r} cycle: {exc}"
-                ) from exc
-        mat = (
-            np.array(cols, dtype=np.int64).T
-            if cols
-            else np.zeros((tgt.dim, 0), dtype=np.int64)
-        )
-        out[(i, j)] = (mat % ctx.p, raws)
+        images = _formula_value(ctx, r, i, j, cell.quotient_reps)
+        if images is None:
+            images = np.zeros((cell.dim, tgt.ambient_dim), dtype=np.int64)
+        out[(i, j)] = _page_block(r, (i, j), tgt, images)
     return out
 
 
@@ -316,37 +317,28 @@ def check_d_squared(page: Page, diffs: dict, r: int, p: int) -> None:
 
 def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
     """Homology of d_r: new cycles are preimages of boundaries, new
-    boundaries accumulate the incoming images."""
+    boundaries accumulate the incoming images.  A cell whose outgoing and
+    incoming page matrices are both zero is carried over unchanged:
+    subquotient_of would rebuild it from the same spans, identically."""
     r = page.r
     p = ctx.p
     check_d_squared(page, diffs, r, p)
     new_cells = {}
     for (i, j), cell in page.cells.items():
-        # kernel of the outgoing page matrix
-        entry = diffs.get((i, j))
-        if entry is None or cell.dim == 0:
-            kernel_lifts = cell.quotient_reps
-        else:
-            mat = entry[0]
-            ker = kernel_basis(mat, p)
-            kernel_lifts = (
-                (ker @ cell.quotient_reps) % p
-                if ker.shape[0]
-                else np.zeros((0, cell.ambient_dim), dtype=np.int64)
-            )
-        cycles = np.concatenate(
-            [cell.boundary_basis, np.atleast_2d(kernel_lifts).reshape(-1, cell.ambient_dim)],
-            axis=0,
+        out = diffs.get((i, j))
+        inc = diffs.get((i - r, j + r - 1))
+        if all(d is None or not d[0].any() for d in (out, inc)):
+            new_cells[(i, j)] = cell
+            continue
+        cycles = cell.quotient_reps
+        if out is not None:
+            cycles = kernel_basis(out[0], p) @ cycles % p
+        boundaries = cell.boundary_basis
+        if inc is not None:
+            boundaries = np.concatenate([boundaries, inc[1]])
+        new_cells[(i, j)] = subquotient_of(
+            np.concatenate([cell.boundary_basis, cycles]), boundaries, cell.ambient_dim, p
         )
-        # incoming boundaries
-        src = diffs.get((i - r, j + r - 1))
-        boundaries = [cell.boundary_basis]
-        if src is not None and src[1]:
-            boundaries.append(np.array(src[1], dtype=np.int64))
-        boundaries = np.concatenate(
-            [b for b in boundaries if len(b)], axis=0
-        ) if any(len(b) for b in boundaries) else np.zeros((0, cell.ambient_dim), dtype=np.int64)
-        new_cells[(i, j)] = subquotient_of(cycles, boundaries, cell.ambient_dim, p)
     return Page(r=r + 1, N=page.N, cells=new_cells, valid_through=page.valid_through)
 
 
@@ -367,45 +359,28 @@ def apply_overrides(
         _check_source_survives(ctx, page, ov)
     out = {}
     for (i, j), cell in page.cells.items():
-        if cell.dim == 0:
-            continue
         tgt = page.cells.get((i + r, j - r + 1))
-        source_cols = []
-        value_cols = []
+        if cell.dim == 0 or tgt is None:
+            continue
+        sources, values = [], []
         for ov in active:
             i_s, j_s = ov.source.single_bidegree()
             if j_s != j or i < i_s:
                 continue
+            # columns source * rho and value * rho over the basis rho of H^a
             a = i - i_s
-            sigma = ov.source.rows[j_s]
-            w_i, w_j = ov.value.single_bidegree()
-            w = ov.value.rows[w_j]
-            sign_s = _row_sign(j_s, a)
-            sign_v = _row_sign(w_j, a)
-            for mon in ctx.ring.basis(a):
-                rho = CohoClass(ctx.spec.quotient, {mon: 1})
-                source_cols.append(sign_s * ctx.ring.to_vector(cup(sigma, rho), i) % p)
-                value_cols.append(
-                    sign_v * ctx.ring.to_vector(cup(w, rho), w_i + a) % p
-                )
-        if not source_cols or tgt is None:
+            i_v, j_v = ov.value.single_bidegree()
+            sources.append(_row_sign(j_s, a) * ctx.mult_matrix(ov.source.rows[j_s], a, i_s))
+            values.append(_row_sign(j_v, a) * ctx.mult_matrix(ov.value.rows[j_v], a, i_v))
+        if not sources:
             continue
-        s_mat = np.array(source_cols, dtype=np.int64).T % p
-        v_mat = np.array(value_cols, dtype=np.int64).T % p
-        _check_override_well_defined(ctx, cell, tgt, s_mat, v_mat)
-        aug = np.concatenate([s_mat, cell.boundary_basis.T], axis=1) if cell.boundary_basis.size else s_mat
-        raws = []
-        cols = []
-        for v in cell.quotient_reps:
-            x = solve_linear(aug, v, p)
-            if x is None:
-                w = np.zeros(tgt.ambient_dim, dtype=np.int64)
-            else:
-                w = (v_mat @ x[: s_mat.shape[1]]) % p
-            raws.append(w)
-            cols.append(tgt.reduce(w))
-        mat = np.array(cols, dtype=np.int64).T if cols else np.zeros((tgt.dim, 0), dtype=np.int64)
-        out[(i, j)] = (mat, raws)
+        s_mat = np.concatenate(sources, axis=1) % p
+        v_mat = np.concatenate(values, axis=1) % p
+        aug = np.concatenate([s_mat, cell.boundary_basis.T], axis=1)
+        _check_override_well_defined(r, (i, j), tgt, aug, v_mat)
+        # x is zero on the representatives outside sources + boundaries
+        x, _ = solve_linear(aug, cell.quotient_reps.T, p)
+        out[(i, j)] = _page_block(r, (i, j), tgt, (v_mat @ x[: s_mat.shape[1]]).T % p)
     return out
 
 
@@ -427,27 +402,13 @@ def _check_source_survives(ctx, page: Page, ov: DifferentialOverride):
         )
 
 
-def _check_override_well_defined(ctx, cell, tgt, s_mat, v_mat):
-    """Kernel directions of the source map must carry values into the
-    target boundaries, otherwise the override file is inconsistent."""
-    p = ctx.p
-    aug = (
-        np.concatenate([s_mat, cell.boundary_basis.T], axis=1)
-        if cell.boundary_basis.size
-        else s_mat
-    )
-    ker = kernel_basis(aug, p)
-    for kvec in ker:
-        head = kvec[: s_mat.shape[1]]
-        if not head.any():
-            continue
-        val = (v_mat @ head) % p
-        try:
-            coords = tgt.reduce(val)
-        except LinAlgError as exc:
-            raise EngineError("override differential is not well defined") from exc
-        if coords.any():
-            raise EngineError("override differential is not well defined on the page")
+def _check_override_well_defined(r, ij, tgt: Subquotient, aug, v_mat):
+    """Kernel directions of [sources | boundaries] must carry values into
+    the target boundaries, otherwise the override file is inconsistent."""
+    heads = kernel_basis(aug, tgt.p)[:, : v_mat.shape[1]]
+    mat, _ = _page_block(r, ij, tgt, heads @ v_mat.T % tgt.p)
+    if mat.any():
+        raise EngineError("override differential is not well defined on the page")
 
 
 def run(

@@ -221,71 +221,78 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def solve_linear(m: np.ndarray, target, p: int) -> np.ndarray | None:
-    """One solution of m v = target, or None when inconsistent.
+def solve_linear(m: np.ndarray, target, p: int):
+    """Solve m x = t for a target vector t, or for every column t of a 2-d
+    target at once.
 
-    Free variables are set to zero under the fixed left-to-right column
-    order, so the returned solution is deterministic and depends linearly
-    on the target (for a fixed m).
+    A vector gives one solution, or None when inconsistent.  A block gives
+    (X, consistent): X[:, c] solves column c when consistent[c] and is zero
+    otherwise.  Free variables are set to zero under the fixed
+    left-to-right column order, so solutions are deterministic and depend
+    linearly on the target (for a fixed m).
+
+    All columns share one rref of [m | T].  Its rows with no pivot in m
+    are zero on m, hence zero on every consistent column (y m = 0 gives
+    y m x = 0), so each consistent column gets exactly its one-column
+    solution and a column is consistent iff those rows vanish on it.
     """
     m = _as_array(m, p)
-    t = np.asarray(target, dtype=np.int64).reshape(-1) % p
+    t = np.asarray(target, dtype=np.int64)
+    block = t.ndim == 2
+    t = (t if block else t.reshape(-1, 1)) % p
     if t.shape[0] != m.shape[0]:
         raise LinAlgError(f"target length {t.shape[0]} != rows {m.shape[0]}")
-    aug = np.concatenate([m, t.reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if m.shape[1] in pivots:
-        return None
-    x = np.zeros(m.shape[1], dtype=np.int64)
-    x[pivots] = r[:, -1]
-    return x
+    n = m.shape[1]
+    r, pivots = rref(np.concatenate([m, t], axis=1), p)
+    k = sum(c < n for c in pivots)
+    consistent = ~r[k:, n:].any(axis=0)
+    x = np.zeros((n, t.shape[1]), dtype=np.int64)
+    x[pivots[:k]] = r[:k, n:] * consistent
+    if block:
+        return x, consistent
+    return x[:, 0] if consistent[0] else None
 
 
 @dataclass
 class Subquotient:
     """A subquotient V = Z/B of F_p^ambient with frozen representatives.
 
-    cycle_basis and boundary_basis are rref row bases; quotient_reps are
-    cycle vectors completing the boundary basis to a basis of Z.  reduce()
-    is the induced linear coordinate map Z -> F_p^dim, vanishing exactly
-    on B.
+    boundary_basis is the rref row basis of B; quotient_reps are cycle
+    vectors completing it to a basis of Z.  reduce() is the induced linear
+    coordinate map Z -> F_p^dim, vanishing exactly on B.
     """
 
     p: int
     ambient_dim: int
-    cycle_basis: np.ndarray
     boundary_basis: np.ndarray
     quotient_reps: np.ndarray
-    _b_pivots: list[int] = field(repr=False, default=None)
-    _r_pivots: list[int] = field(repr=False, default=None)
+    _b_pivots: list[int] = field(repr=False)
+    _r_pivots: list[int] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.quotient_reps.shape[0]
 
     def reduce(self, v) -> np.ndarray:
-        """Coordinates of the class of v over quotient_reps.
+        """Coordinates of the class of v over quotient_reps; for a block of
+        vectors (rows), one row of coordinates each.
 
-        Raises LinAlgError when v is not in the span of the cycles.
+        Raises LinAlgError when any vector is not in the span of the cycles.
         """
-        v = np.asarray(v, dtype=np.int64).reshape(-1) % self.p
-        if v.shape[0] != self.ambient_dim:
+        v = np.asarray(v, dtype=np.int64)
+        block = v.ndim == 2
+        v = (v if block else v.reshape(1, -1)) % self.p
+        if v.shape[1] != self.ambient_dim:
             raise LinAlgError("vector length does not match ambient dimension")
         # Representatives vanish on the boundary pivot columns, so the
         # boundary coefficients are v at those columns and the class
         # coordinates follow by one back-substitution.
-        c_b = v[self._b_pivots] if self._b_pivots else np.zeros(0, dtype=np.int64)
-        c_r = v[self._r_pivots] if self._r_pivots else np.zeros(0, dtype=np.int64)
-        if self._b_pivots and self._r_pivots:
-            c_r = (c_r - c_b @ self.boundary_basis[:, self._r_pivots]) % self.p
-        resid = v.copy()
-        if c_b.size:
-            resid = (resid - c_b @ self.boundary_basis) % self.p
-        if c_r.size:
-            resid = (resid - c_r @ self.quotient_reps) % self.p
-        if np.any(resid):
+        b = self.boundary_basis
+        c_b = v[:, self._b_pivots]
+        c_r = (v[:, self._r_pivots] - c_b @ b[:, self._r_pivots]) % self.p
+        if ((v - c_b @ b - c_r @ self.quotient_reps) % self.p).any():
             raise LinAlgError("vector is not a cycle (not in the cycle span)")
-        return c_r.copy()
+        return c_r if block else c_r[0]
 
     def lift(self, coords) -> np.ndarray:
         """Representative cycle of the class with the given coordinates."""
@@ -322,7 +329,6 @@ def subquotient_of(cycles, boundaries, ambient_dim: int, p: int) -> Subquotient:
     return Subquotient(
         p=p,
         ambient_dim=ambient_dim,
-        cycle_basis=cyc_ech,
         boundary_basis=bnd_ech,
         quotient_reps=reps,
         _b_pivots=b_pivots,

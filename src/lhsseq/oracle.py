@@ -134,6 +134,8 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
 
 def cohomology_dims(group: FiniteGroupTable, max_degree: int, p: int | None = None) -> list[int]:
     """dim H^n(group; F_p) for n <= max_degree, from the minimal resolution."""
+    if max_degree < 0:
+        raise GroupError(f"max degree must be non-negative, got {max_degree}")
     return minimal_resolution(group, max_degree, p).ranks
 
 

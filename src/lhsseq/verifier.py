@@ -30,7 +30,7 @@ from .extensions import (
     extension_projection,
     kernel_injection,
 )
-from .fplinalg import solve_linear, subquotient_of
+from .fplinalg import kernel_basis, solve_linear, subquotient_of
 from .groups import GroupError
 from .resolutions import BudgetExceeded, DEFAULT_BASIS_BUDGET
 
@@ -728,7 +728,7 @@ def invariant_row_values(cx: BarDoubleComplex, c: E0Cochain) -> np.ndarray:
 
 def bar_differential_matrix(cx: BarDoubleComplex, degree: int) -> np.ndarray:
     """Bar differential on inhomogeneous cochains of the quotient group,
-    matching the差 induced by d_1 on row-zero vertical cocycles."""
+    matching the map induced by d_1 on row-zero vertical cocycles."""
     ng = cx.ng
     rows, cols = ng ** (degree + 1), ng**degree
     m = np.zeros((rows, cols), dtype=np.int64)
@@ -793,7 +793,6 @@ def row_zero_class_report(cx: BarDoubleComplex, ladder: LadderData) -> dict:
     class; the class of xi' must be a unit multiple of the Bockstein
     class (the sign is a convention artifact and is reported)."""
     from .cohomology import bockstein
-    from .fplinalg import kernel_basis
 
     p = cx.p
     report = {}
@@ -821,8 +820,6 @@ def row_zero_class_report(cx: BarDoubleComplex, ladder: LadderData) -> dict:
 
 
 def _row_cohomology_subquotient(cx: BarDoubleComplex, degree: int):
-    from .fplinalg import kernel_basis
-
     z = kernel_basis(bar_differential_matrix(cx, degree), cx.p)
     if degree == 0:
         b = np.zeros((0, cx.ng**degree), dtype=np.int64)

@@ -192,3 +192,37 @@ def test_expand_non_unit_denominator_errors(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_budget_exceeded_errors(capsys):
+    assert main(["verify", "--suite", "ladder", "--budget", "10"]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_sseq_r_max_below_two_errors(capsys):
+    rc = main(["sseq", "--spec", str(CONFIGS / "split_27.cfg"), "--r-max", "1"])
+    assert rc == 2
+    assert _one_line_error(capsys)
+
+
+def test_compare_r_max_below_two_errors(capsys):
+    rc = main(["compare", "--spec", str(CONFIGS / "split_27.cfg"), "--r-max", "1"])
+    assert rc == 2
+    assert _one_line_error(capsys)
+
+
+def test_sseq_negative_max_degree_errors(capsys):
+    rc = main(["sseq", "--spec", str(CONFIGS / "split_27.cfg"), "--max-degree", "-3"])
+    assert rc == 2
+    assert _one_line_error(capsys)
+
+
+def test_oracle_negative_max_degree_errors(capsys):
+    rc = main(["oracle", "--spec", str(CONFIGS / "split_27.cfg"), "--max-degree", "-3"])
+    assert rc == 2
+    assert _one_line_error(capsys)

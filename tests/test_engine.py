@@ -128,14 +128,15 @@ def test_d2_matches_multiplication_by_xi():
     page = init_pages(spec, 10)
     diffs = differential_matrix(ctx, page, 2)
     # at (1, 1): u*chi -> xi*chi for chi in H^1
-    mat, raws = diffs[(1, 1)]
+    # (image row k is the image of basis class k)
+    mat, images = diffs[(1, 1)]
     xi = spec.xi
-    for col, mon in enumerate(ctx.ring.basis(1)):
+    for row, mon in enumerate(ctx.ring.basis(1)):
         chi = CohoClass(spec.quotient, {mon: 1})
-        assert (raws[col] == ctx.ring.to_vector(cup(xi, chi), 3)).all()
+        assert (images[row] == ctx.ring.to_vector(cup(xi, chi), 3)).all()
     # even rows die under d2
-    mat0, raws0 = diffs[(1, 2)]
-    assert not any(w.any() for w in raws0)
+    mat0, images0 = diffs[(1, 2)]
+    assert not images0.any()
 
 
 def test_paper_d4_values_case_e():
@@ -149,7 +150,7 @@ def test_paper_d4_values_case_e():
     vec = ctx.ring.to_vector(CohoClass.y(spec.quotient, 1), 1)
     from lhsseq.engine import _formula_value
 
-    val = _formula_value(ctx, 4, 1, 4, vec)
+    val = _formula_value(ctx, 4, 1, 4, vec[None])
     want = -ctx.ring.to_vector(
         cup(cup(CohoClass.x(spec.quotient, 1), CohoClass.x(spec.quotient, 1)),
             CohoClass.y(spec.quotient, 0)),
@@ -158,10 +159,10 @@ def test_paper_d4_values_case_e():
     assert (val % 3 == want % 3).all()
     # odd-row source t^1 u y1 and t^2 u y1: the Massey product vanishes
     vec_y1 = ctx.ring.to_vector(CohoClass.y(spec.quotient, 0), 1)
-    assert _formula_value(ctx, 4, 1, 3, vec_y1) is None or not _formula_value(
-        ctx, 4, 1, 3, vec_y1
+    assert _formula_value(ctx, 4, 1, 3, vec_y1[None]) is None or not _formula_value(
+        ctx, 4, 1, 3, vec_y1[None]
     ).any()
-    v5 = _formula_value(ctx, 4, 1, 5, vec_y1)
+    v5 = _formula_value(ctx, 4, 1, 5, vec_y1[None])
     assert v5 is None or not v5.any()
 
 
@@ -176,12 +177,12 @@ def test_paper_d4_values_case_f():
 
     for i_pow in (1, 2):
         vec = ctx.ring.to_vector(chi, 3)
-        val = _formula_value(ctx, 4, 3, 2 * i_pow + 1, vec)
+        val = _formula_value(ctx, 4, 3, 2 * i_pow + 1, vec[None])
         want = (i_pow * ctx.ring.to_vector(parse_class("x1*x2^2*y2 - x1^2*x2*y1", q), 7)) % 3
         assert (val % 3 == want).all()
     for idx, name in ((0, "x1"), (1, "x2")):
         vec = ctx.ring.to_vector(CohoClass.y(q, idx), 1)
-        val = _formula_value(ctx, 4, 1, 4, vec)
+        val = _formula_value(ctx, 4, 1, 4, vec[None])
         want = ctx.ring.to_vector(
             cup(parse_class("x1*y2 - x2*y1", q), parse_class(name, q)), 5
         )
@@ -194,8 +195,19 @@ def test_d4_zero_when_p_divides_power():
     from lhsseq.engine import _formula_value
 
     vec = ctx.ring.to_vector(parse_class("x1*y2 - x2*y1", spec.quotient), 3)
-    assert _formula_value(ctx, 4, 3, 7, vec) is None  # t^3 u chi, 3 | 3
+    assert _formula_value(ctx, 4, 3, 7, vec[None]) is None  # t^3 u chi, 3 | 3
 
+
+
+def test_d4_rejects_a_representative_that_should_have_died():
+    # xi = x1: x1*y1 != 0, so y1 at (1, 3) does not survive to page 4
+    spec = make_spec("x1", 1, 1)
+    ctx = EngineContext(spec, 10)
+    from lhsseq.engine import _formula_value
+
+    vec = ctx.ring.to_vector(CohoClass.y(spec.quotient, 0), 1)
+    with pytest.raises(EngineError, match="survival conditions"):
+        _formula_value(ctx, 4, 1, 3, vec[None])
 
 # ---- full runs against the closed forms ---------------------------------
 
@@ -252,7 +264,7 @@ def test_d3_even_row_coefficient_vanishes_mod_p():
     from lhsseq.engine import _formula_value
 
     vec = ctx.ring.to_vector(CohoClass.one(spec.quotient), 0)
-    assert _formula_value(ctx, 3, 0, 6, vec) is None
+    assert _formula_value(ctx, 3, 0, 6, vec[None]) is None
 
 
 # ---- overrides -----------------------------------------------------------
@@ -290,6 +302,17 @@ def test_override_source_must_survive():
         ovs = parse_overrides(bad, spec)
         result = run(spec, 14, overrides=ovs)
 
+
+
+def test_override_with_two_values_is_rejected():
+    # one source mapped to v and to -v: the difference 2v must vanish on the page
+    spec = make_spec("y1*y2", 1, 1)
+    text = """
+d5 | t^2*x1*y2 - t^2*x2*y1 | x1^3*x2 - x2^3*x1 | v
+d5 | t^2*x1*y2 - t^2*x2*y1 | x2^3*x1 - x1^3*x2 | -v
+"""
+    with pytest.raises(EngineError, match="not well defined on the page"):
+        run(spec, 14, overrides=parse_overrides(text, spec))
 
 def test_empty_overrides_give_zero_differential():
     spec = make_spec("y1*y2", 2, 2)

@@ -159,6 +159,23 @@ def test_subquotient_reduce_is_linear():
         assert (lhs == rhs).all()
 
 
+
+def test_subquotient_reduce_block_equals_rows():
+    rng = np.random.RandomState(5)
+    p = 5
+    cycles = rng.randint(0, p, size=(4, 6))
+    cycles[:, 4:] = 0  # e_5 is not a cycle
+    sq = subquotient_of(cycles, (2 * cycles[:2]) % p, 6, p)
+    block = (rng.randint(0, p, size=(7, 4)) @ cycles) % p
+    got = sq.reduce(block)
+    assert got.shape == (7, sq.dim)
+    for v, row in zip(block, got):
+        assert (sq.reduce(v) == row).all()
+    assert sq.reduce(np.zeros((0, 6), dtype=np.int64)).shape == (0, sq.dim)
+    block[3, 5] = 1
+    with pytest.raises(LinAlgError):
+        sq.reduce(block)
+
 def test_subquotient_lift_round_trip():
     sq = subquotient_of(np.eye(4, dtype=int), [[1, 1, 0, 0]], 4, 3)
     for coords in itertools.product(range(3), repeat=sq.dim):

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhsseq.fplinalg import kernel_basis, rank, rank_profile, rref
+from lhsseq.fplinalg import kernel_basis, rank, rank_profile, rref, solve_linear
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -115,3 +115,33 @@ def test_rank_profile_counts_corner_ranks_past_the_crossover(case, seed):
         b = rng.randint(0, m.shape[1] + 1)
         inside = int(((pairs[:, 0] < a) & (pairs[:, 1] < b)).sum())
         assert inside == len(reference_rref(m[:a, :b], p)[1])
+
+
+@SETTINGS
+@given(
+    matrices(st.one_of(TINY, SMALL, AT_CROSSOVER)),
+    st.lists(st.sampled_from(["image", "random", "repeat"]), max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_solve_equals_one_column_solves(case, kinds, seed):
+    # image columns are consistent; random ones mostly are not (m has
+    # bounded rank); a repeat is a unit multiple of an earlier column plus
+    # an image, so an inconsistent one gets no pivot of its own
+    m, p = case
+    rng = np.random.RandomState(seed)
+    cols = []
+    for kind in kinds:
+        image = m @ rng.randint(0, p, size=m.shape[1])
+        if kind == "image":
+            cols.append(image % p)
+        elif kind == "repeat" and cols:
+            cols.append((rng.randint(1, p) * cols[rng.randint(len(cols))] + image) % p)
+        else:
+            cols.append(rng.randint(0, p, size=m.shape[0]))
+    t = np.array(cols, dtype=np.int64).reshape(len(cols), m.shape[0]).T
+    x, consistent = solve_linear(m, t, p)
+    assert x.shape == (m.shape[1], len(cols)) and consistent.shape == (len(cols),)
+    for c in range(len(cols)):
+        want = solve_linear(m, t[:, c], p)
+        assert bool(consistent[c]) == (want is not None)
+        assert (x[:, c] == (0 if want is None else want)).all()
