@@ -309,12 +309,6 @@ def _h_cyclic(order: int, p: int, d1: int, d2: int, d3: int) -> int:
     return 0
 
 
-def _factor_split(mon: Monomial) -> list[tuple[int, int]]:
-    """Per-factor (eps_i, pow_i) of a monomial, i.e. its tensor components."""
-    eps, pows = mon
-    return list(zip(eps, pows))
-
-
 def _h_monomials(group: AbelianPGroupSpec, m1: Monomial, m2: Monomial, m3: Monomial) -> CohoClass:
     """h on a triple of monomials over the left-associated factorization
     G = (factors 1..r-1) x (factor r)."""
@@ -488,11 +482,6 @@ class RingContext:
         for m, c in cls.terms.items():
             v[self._index[degree][m]] = c
         return v
-
-    def from_vector(self, v, degree: int) -> CohoClass:
-        basis = self.basis(degree)
-        terms = {m: int(c) for m, c in zip(basis, np.asarray(v)) if c % self.p}
-        return CohoClass(self.group, terms, degree)
 
     def multiplication_matrix(self, cls: CohoClass, degree: int) -> np.ndarray:
         """Matrix of (left) multiplication by cls: H^degree -> H^{degree+|cls|};

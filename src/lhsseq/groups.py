@@ -112,35 +112,8 @@ class FiniteGroupTable:
             n //= p
         return n == 1
 
-    def is_abelian(self) -> bool:
-        return (self.mul == self.mul.T).all()
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.multiply(x, a)
-            k += 1
-        return k
-
     def centralizes(self, a: int) -> bool:
         return (self.mul[a] == self.mul[:, a]).all()
-
-    def commutator_subgroup(self) -> set[int]:
-        n = self.order
-        comms = {
-            self.multiply(self.multiply(a, b), self.inv[self.multiply(b, a)])
-            for a in range(n)
-            for b in range(n)
-        }
-        # close under multiplication
-        frontier = set(comms)
-        while frontier:
-            new = {
-                self.multiply(x, y) for x in frontier for y in comms
-            } - comms
-            comms |= new
-            frontier = new
-        return comms
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:

@@ -88,6 +88,19 @@ class E0Cochain:
         return self.i + self.j
 
 
+def _face_matrix(coeffs, src: np.ndarray, cols: int) -> sp.csr_matrix:
+    """The CSR matrix with coefficient coeffs[k] at column src[r, k] of
+    every row r.  Coefficients stay the integers +-1 (a row may repeat a
+    column), so products of these matrices cancel exactly and store
+    nothing where they vanish."""
+    rows, faces = src.shape
+    return sp.csr_matrix(
+        (np.tile(np.array(coeffs, dtype=np.int64), rows), src.ravel(),
+         np.arange(0, rows * faces + 1, faces)),
+        shape=(rows, cols),
+    )
+
+
 class BarDoubleComplex:
     """Cochain arithmetic on Hom_E(P_i (x) Q_j, F_p)."""
 
@@ -169,104 +182,65 @@ class BarDoubleComplex:
     # -- differentials ----------------------------------------------------
 
     def _d0_terms(self, i: int, j: int):
-        """Gather terms for d_0 : (i, j) -> (i, j+1), evaluated on the
-        target basis: list of (coeff, source index array)."""
+        """Faces of d_0 : (i, j) -> (i, j+1) on the target basis:
+        (coefficients, source index of every target row and face)."""
         jt = j + 1
         g, s, q = self._split_index(i, jt)
-        qd = self._tuple_digits(self.ne, jt)
-        digits = qd[q]
-        epow = self.ne ** np.arange(jt - 1)[::-1] if jt > 1 else np.ones(0, dtype=np.int64)
-        sign0 = -1 if i % 2 else 1
-        terms = []
-        psize = self.ng**i
-        qsize = self.ne ** (jt - 1)
-
-        def pack(gg, ss, qq):
-            return (gg * psize + ss) * qsize + qq
-
+        digits = self._tuple_digits(self.ne, jt)[q]
+        epow = self.ne ** np.arange(jt - 1)[::-1]
+        psize, qsize = self.ng**i, self.ne ** (jt - 1)
+        src = np.empty((len(q), jt + 1), dtype=np.int64)
         # face 0: translate by e_1
         e1 = digits[:, 0]
         g0 = self.G.mul[self.G.inv[self.pi[e1]], g]
         rel = self.E.mul[self.E.inv[e1][:, None], digits[:, 1:]]
-        q0 = rel @ epow if jt > 1 else np.zeros(len(q), dtype=np.int64)
-        terms.append((sign0, pack(g0, s, q0)))
+        src[:, 0] = (g0 * psize + s) * qsize + rel @ epow
         # inner and last faces: drop entry k
+        base = (g * psize + s) * qsize
         for k in range(1, jt + 1):
-            keep = [c for c in range(jt) if c != k - 1]
-            qk = digits[:, keep] @ epow if keep else np.zeros(len(q), dtype=np.int64)
-            coeff = sign0 * (-1) ** k
-            terms.append((coeff, pack(g, s, qk)))
-        return terms
+            src[:, k] = base + np.delete(digits, k - 1, axis=1) @ epow
+        sign0 = -1 if i % 2 else 1
+        return [sign0 * (-1) ** k for k in range(jt + 1)], src
 
     def _d1_terms(self, i: int, j: int):
-        """Gather terms for d_1 : (i, j) -> (i+1, j)."""
+        """Faces of d_1 : (i, j) -> (i+1, j), as in _d0_terms."""
         it = i + 1
         g, s, q = self._split_index(it, j)
-        sd = self._tuple_digits(self.ng, it)
-        digits = sd[s]
-        ppow = self.ng ** np.arange(it - 1)[::-1] if it > 1 else np.ones(0, dtype=np.int64)
-        terms = []
-        psize = self.ng ** (it - 1)
-        qsize = self.ne**j
-
-        def pack(gg, ss, qq):
-            return (gg * psize + ss) * qsize + qq
-
+        digits = self._tuple_digits(self.ng, it)[s]
+        ppow = self.ng ** np.arange(it - 1)[::-1]
+        psize, qsize = self.ng ** (it - 1), self.ne**j
+        src = np.empty((len(s), it + 1), dtype=np.int64)
         s1 = digits[:, 0]
-        g0 = self.G.mul[g, s1]
         rel = self.G.mul[self.G.inv[s1][:, None], digits[:, 1:]]
-        s0 = rel @ ppow if it > 1 else np.zeros(len(s), dtype=np.int64)
-        terms.append((1, pack(g0, s0, q)))
+        src[:, 0] = (self.G.mul[g, s1] * psize + rel @ ppow) * qsize + q
         for k in range(1, it + 1):
-            keep = [c for c in range(it) if c != k - 1]
-            sk = digits[:, keep] @ ppow if keep else np.zeros(len(s), dtype=np.int64)
-            terms.append(((-1) ** k, pack(g, sk, q)))
-        return terms
-
-    def d0(self, c: E0Cochain) -> E0Cochain:
-        out = np.zeros(self.dim(c.i, c.j + 1), dtype=np.int64)
-        for coeff, src in self._d0_terms(c.i, c.j):
-            out += coeff * c.values[src]
-        return E0Cochain(self, c.i, c.j + 1, out % self.p)
-
-    def d1(self, c: E0Cochain) -> E0Cochain:
-        out = np.zeros(self.dim(c.i + 1, c.j), dtype=np.int64)
-        for coeff, src in self._d1_terms(c.i, c.j):
-            out += coeff * c.values[src]
-        return E0Cochain(self, c.i + 1, c.j, out % self.p)
+            src[:, k] = (g * psize + np.delete(digits, k - 1, axis=1) @ ppow) * qsize + q
+        return [(-1) ** k for k in range(it + 1)], src
 
     def d0_matrix(self, i: int, j: int) -> sp.csr_matrix:
         key = ("d0", i, j)
         if key not in self._dmat:
-            self._dmat[key] = self._terms_to_matrix(
-                self._d0_terms(i, j), self.dim(i, j + 1), self.dim(i, j)
-            )
+            self._dmat[key] = _face_matrix(*self._d0_terms(i, j), self.dim(i, j))
         return self._dmat[key]
 
     def d1_matrix(self, i: int, j: int) -> sp.csr_matrix:
         key = ("d1", i, j)
         if key not in self._dmat:
-            self._dmat[key] = self._terms_to_matrix(
-                self._d1_terms(i, j), self.dim(i + 1, j), self.dim(i, j)
-            )
+            self._dmat[key] = _face_matrix(*self._d1_terms(i, j), self.dim(i, j))
         return self._dmat[key]
 
-    def _terms_to_matrix(self, terms, rows, cols) -> sp.csr_matrix:
-        row_idx = np.concatenate([np.arange(rows)] * len(terms))
-        col_idx = np.concatenate([src for _, src in terms])
-        data = np.concatenate(
-            [np.full(rows, coeff % self.p, dtype=np.int64) for coeff, _ in terms]
-        )
-        m = sp.coo_matrix((data, (row_idx, col_idx)), shape=(rows, cols))
-        m = m.tocsr()
-        m.data %= self.p
-        m.eliminate_zeros()
-        return m
+    def d0(self, c: E0Cochain) -> E0Cochain:
+        return E0Cochain(self, c.i, c.j + 1, self.d0_matrix(c.i, c.j) @ c.values % self.p)
+
+    def d1(self, c: E0Cochain) -> E0Cochain:
+        return E0Cochain(self, c.i + 1, c.j, self.d1_matrix(c.i, c.j) @ c.values % self.p)
 
     def complex_identity_residual(self, max_total: int | None = None) -> int:
         """Exhaustive check of d0^2 = d1^2 = d0 d1 + d1 d0 = 0 on every
-        stored bidegree, via sparse matrix products."""
+        stored bidegree, via sparse products of the integer face matrices,
+        reduced mod p once."""
         top = self.bound if max_total is None else max_total
+        p = self.p
         worst = 0
         for i in range(top + 1):
             for j in range(top + 1 - i):
@@ -277,12 +251,10 @@ class BarDoubleComplex:
                     + self.d1_matrix(i, j + 1) @ self.d0_matrix(i, j),
                 ]
                 for m in prods:
-                    m = m.tocsr()
-                    m.data %= self.p
-                    if m.nnz and m.data.any():
-                        r = m.data % self.p
-                        if r.any():
-                            worst = max(worst, int(np.minimum(r[r > 0], self.p - r[r > 0]).max()))
+                    r = m.data % p
+                    r = r[r > 0]
+                    if r.size:
+                        worst = max(worst, int(np.minimum(r, p - r).max()))
         return worst
 
     # -- products ----------------------------------------------------------
@@ -559,27 +531,27 @@ def _standard_kernel_cochain(cx: BarDoubleComplex, degree: int) -> dict[int, int
 DENSE_SOLVE_CAP = 50_000_000
 
 
-def _solve_with_constraints(cx, mat: sp.csr_matrix, extra_rows: dict[int, int]):
-    """Solve [mat; delta rows] x = [0; values] deterministically."""
-    if mat.shape[0] * mat.shape[1] > DENSE_SOLVE_CAP:
+def _ladder_solve(cx, blocks, rhs, what: str, pinned: dict[int, int] | None = None):
+    """Solve sp.bmat(blocks) x = rhs with x[idx] = val for each pinned
+    (idx, val) by one dense elimination over F_p; free variables are
+    zeroed, so the solution is deterministic."""
+    m = sp.bmat(blocks, format="csr")
+    pins = sorted((pinned or {}).items())
+    rows, cols = m.shape[0] + len(pins), m.shape[1]
+    if rows * cols > DENSE_SOLVE_CAP:
         raise BudgetExceeded(
             "ladder solve needs a dense elimination beyond the size cap; "
             "use a smaller extension for ladder-based suites"
         )
-    dense = mat.toarray() % cx.p
-    rows = [dense]
-    tgt = [np.zeros(dense.shape[0], dtype=np.int64)]
-    cols = dense.shape[1]
-    e_rows = np.zeros((len(extra_rows), cols), dtype=np.int64)
-    e_tgt = np.zeros(len(extra_rows), dtype=np.int64)
-    for k, (idx, val) in enumerate(sorted(extra_rows.items())):
-        e_rows[k, idx] = 1
-        e_tgt[k] = val
-    rows.append(e_rows)
-    tgt.append(e_tgt)
-    sol = solve_linear(np.concatenate(rows), np.concatenate(tgt), cx.p)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    a[: m.shape[0]] = m.toarray()
+    target = np.zeros(rows, dtype=np.int64)
+    target[: m.shape[0]] = rhs
+    for k, (idx, val) in enumerate(pins, start=m.shape[0]):
+        a[k, idx], target[k] = 1, val
+    sol = solve_linear(a, target, cx.p)
     if sol is None:
-        raise GroupError("ladder solve failed: convention error upstream")
+        raise GroupError(f"no {what} solving the ladder")
     return sol
 
 
@@ -588,28 +560,18 @@ def build_ladder(cx: BarDoubleComplex) -> LadderData:
     the ladder equations with free variables zeroed."""
     if cx.bound < 3:
         raise GroupError("the ladder needs bidegrees through total degree 3")
-    p = cx.p
-    u_vals = _solve_with_constraints(cx, cx.d0_matrix(0, 1), _standard_kernel_cochain(cx, 1))
+    d0, d1 = cx.d0_matrix, cx.d1_matrix
+    u_vals = _ladder_solve(cx, [[d0(0, 1)]], 0, "u", _standard_kernel_cochain(cx, 1))
     u = E0Cochain(cx, 0, 1, u_vals)
-    t_vals = _solve_with_constraints(cx, cx.d0_matrix(0, 2), _standard_kernel_cochain(cx, 2))
+    t_vals = _ladder_solve(cx, [[d0(0, 2)]], 0, "t", _standard_kernel_cochain(cx, 2))
     t = E0Cochain(cx, 0, 2, t_vals)
     # theta: d0(theta) = d1(u)
-    theta_vals = solve_linear(cx.d0_matrix(1, 0).toarray(), cx.d1(u).values, p)
-    if theta_vals is None:
-        raise GroupError("no theta with d0(theta) = d1(u)")
-    theta = E0Cochain(cx, 1, 0, theta_vals)
+    theta = E0Cochain(cx, 1, 0, _ladder_solve(cx, [[d0(1, 0)]], cx.d1(u).values, "theta"))
     xi_cochain = cx.d1(theta)
     # (eta1, eta2): d0(eta1) = d1(t), d1(eta1) = d0(eta2), jointly
-    d0_11 = cx.d0_matrix(1, 1).toarray()
-    d1_11 = cx.d1_matrix(1, 1).toarray()
-    d0_20 = cx.d0_matrix(2, 0).toarray()
-    n1, n2 = cx.dim(1, 1), cx.dim(2, 0)
-    top = np.concatenate([d0_11, np.zeros((d0_11.shape[0], n2), dtype=np.int64)], axis=1)
-    bot = np.concatenate([d1_11, (-d0_20) % p], axis=1)
-    rhs = np.concatenate([cx.d1(t).values, np.zeros(bot.shape[0], dtype=np.int64)])
-    sol = solve_linear(np.concatenate([top, bot], axis=0), rhs, p)
-    if sol is None:
-        raise GroupError("no (eta1, eta2) solving the ladder")
+    rhs = np.concatenate([cx.d1(t).values, np.zeros(cx.dim(2, 1), dtype=np.int64)])
+    sol = _ladder_solve(cx, [[d0(1, 1), None], [d1(1, 1), -d0(2, 0)]], rhs, "(eta1, eta2)")
+    n1 = cx.dim(1, 1)
     eta1 = E0Cochain(cx, 1, 1, sol[:n1])
     eta2 = E0Cochain(cx, 2, 0, sol[n1:])
     xi_prime = cx.d1(eta2)
@@ -728,22 +690,12 @@ def invariant_row_values(cx: BarDoubleComplex, c: E0Cochain) -> np.ndarray:
 
 def bar_differential_matrix(cx: BarDoubleComplex, degree: int) -> np.ndarray:
     """Bar differential on inhomogeneous cochains of the quotient group,
-    matching the map induced by d_1 on row-zero vertical cocycles."""
-    ng = cx.ng
-    rows, cols = ng ** (degree + 1), ng**degree
-    m = np.zeros((rows, cols), dtype=np.int64)
-    digits = cx._tuple_digits(ng, degree + 1)
-    ppow = ng ** np.arange(degree)[::-1] if degree else np.ones(0, dtype=np.int64)
-    idx = np.arange(rows)
-    s1 = digits[:, 0]
-    rel = cx.G.mul[cx.G.inv[s1][:, None], digits[:, 1:]]
-    src = rel @ ppow if degree else np.zeros(rows, dtype=np.int64)
-    np.add.at(m, (idx, src), 1)
-    for k in range(1, degree + 2):
-        keep = [c for c in range(degree + 1) if c != k - 1]
-        src = digits[:, keep] @ ppow if keep else np.zeros(rows, dtype=np.int64)
-        np.add.at(m, (idx, src), (-1) ** k)
-    return m % cx.p
+    the map induced by d_1 on row-zero vertical cocycles: d_1 restricted
+    to g-constant cochains (its rows of one g block, which every g block
+    repeats; its columns summed over g)."""
+    rows, cols = cx.ng ** (degree + 1), cx.ng**degree
+    block = cx.d1_matrix(degree, 0)[:rows].toarray()
+    return block.reshape(rows, cx.ng, cols).sum(axis=1) % cx.p
 
 
 def monomial_bar_cochain(cx: BarDoubleComplex, cls, degree: int | None = None) -> np.ndarray:

