@@ -27,10 +27,10 @@ from . import __version__
 from .cohomology import MasseyUndefinedError, massey_triple
 from .engine import DEFAULT_R_MAX, EngineError, expand_rational, run
 from .extensions import build_extension_group
+from .fplinalg import DEFAULT_BUDGET, BudgetExceeded
 from .groups import AbelianPGroupSpec, GroupError
 from .oracle import cohomology_dims, double_complex_ss, euler_telescope
 from .parsing import ParseError, parse_class, parse_extension_spec, parse_overrides
-from .resolutions import DEFAULT_BASIS_BUDGET, BudgetExceeded
 
 REPORT_VERSION = 1
 
@@ -123,25 +123,26 @@ def _print_bigraded(page, max_degree: int | None = None):
 
 def cmd_oracle(args) -> int:
     spec = _load_spec(args)
-    e = build_extension_group(spec)
     t0 = time.time()
-    dims = cohomology_dims(e, args.max_degree, spec.p)
-    elapsed = time.time() - t0
+    if args.pages:
+        oracle = double_complex_ss(spec, args.max_degree, r_max=args.r_max, budget=args.budget)
+        order, dims = oracle.group_order, oracle.cohomology_dims
+    else:
+        e = build_extension_group(spec, args.budget)
+        order, dims = e.order, cohomology_dims(e, args.max_degree, spec.p, args.budget)
     report = {
         "report_version": REPORT_VERSION,
         "command": "oracle",
         "spec": spec.describe(),
-        "group_order": e.order,
+        "group_order": order,
         "cohomology_dims": dims,
     }
     if args.pages:
-        oracle = double_complex_ss(spec, args.max_degree, r_max=args.r_max,
-                                   budget=args.budget)
         report["pages"] = {
             str(r): {f"{i},{j}": d for (i, j), d in tab.items()}
             for r, tab in oracle.tables.items()
         }
-    print(f"group of order {e.order}; dim H^n for n = 0..{args.max_degree}:")
+    print(f"group of order {order}; dim H^n for n = 0..{args.max_degree}:")
     print("  " + " ".join(str(d) for d in dims))
     print(f"[{time.time() - t0:.2f}s]")
     _emit(report, args)
@@ -155,8 +156,7 @@ def cmd_compare(args) -> int:
     t0 = time.time()
     engine = run(spec, deg + DEFAULT_R_MAX, overrides=overrides, r_max=args.r_max)
     oracle = double_complex_ss(spec, deg, r_max=args.r_max, budget=args.budget)
-    e = build_extension_group(spec)
-    gdims = cohomology_dims(e, deg, spec.p)
+    gdims = oracle.cohomology_dims
     verdicts = {}
     detail = []
     pages_ok = True
@@ -233,7 +233,7 @@ def cmd_massey(args) -> int:
     return 0
 
 
-def _verify_products(rng, pairs):
+def _verify_products(rng, pairs, budget):
     from .cohomology import CohoClass
     from .extensions import ExtensionSpec
     from .verifier import build_double_complex, derivation_residual, twist_residual
@@ -242,7 +242,7 @@ def _verify_products(rng, pairs):
     for p in (2, 3):
         q = AbelianPGroupSpec(p, (1,))
         spec = ExtensionSpec(p=p, kernel_m=1, quotient=q, xi=CohoClass.x(q, 0))
-        cx = build_double_complex(spec, 3)
+        cx = build_double_complex(spec, 3, budget=budget)
         worst_a = worst_d = worst_t = 0
         done = 0
         while done < pairs:
@@ -362,7 +362,7 @@ def _verify_homotopy():
 def cmd_verify(args) -> int:
     rng = np.random.RandomState(args.seed)
     suites = {
-        "products": lambda: _verify_products(rng, args.pairs),
+        "products": lambda: _verify_products(rng, args.pairs, args.budget),
         "cup1": lambda: _verify_cup1(rng, args.pairs, args.slow, args.budget),
         "ladder": lambda: _verify_ladder(args.budget),
         "tpower": lambda: _verify_tpower(args.budget),
@@ -422,16 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"lhsseq {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, spec_file=True):
+    def common(sp, spec_file=True, seed=False, budget=False):
         if spec_file:
             sp.add_argument("--spec", required=True, help="extension spec file")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BASIS_BUDGET)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if budget:
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                            help="most entries any one array may hold (default 2^27)")
         sp.add_argument("--out", help="write the machine-readable report here")
         sp.add_argument("--json", action="store_true", help="print the report as JSON")
 
     sp = sub.add_parser("sseq", help="run the spectral sequence of an extension")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--max-degree", type=int, default=20)
     sp.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
     sp.add_argument("--overrides", help="higher-differential override file")
@@ -443,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sseq)
 
     sp = sub.add_parser("oracle", help="brute-force cohomology of the extension group")
-    common(sp)
+    common(sp, budget=True)
     sp.add_argument("--max-degree", type=int, default=8)
     sp.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
     sp.add_argument("--pages", action="store_true", help="also compute page tables")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("compare", help="engine vs oracle vs group cohomology")
-    common(sp)
+    common(sp, budget=True)
     sp.add_argument("--max-degree", type=int, default=8)
     sp.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
     sp.add_argument("--overrides")
@@ -466,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_massey)
 
     sp = sub.add_parser("verify", help="identity suites with exact residuals")
-    common(sp, spec_file=False)
+    common(sp, spec_file=False, seed=True, budget=True)
     sp.add_argument(
         "--suite",
         default="all",

@@ -138,7 +138,6 @@ class Page:
 class PoincareData:
     coefficients: list[int]
     valid_through: int
-    bigraded: dict[int, dict[tuple[int, int], int]]
 
 
 class EngineContext:
@@ -434,7 +433,6 @@ def run(
     poincare = PoincareData(
         coefficients=final.total_dims(final.valid_through),
         valid_through=final.valid_through,
-        bigraded={r: pg.dims_table() for r, pg in pages.items()},
     )
     return {
         "pages": pages,

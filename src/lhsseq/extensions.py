@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import CohoClass, bockstein
+from .fplinalg import DEFAULT_BUDGET, check_budget
 from .groups import AbelianPGroupSpec, FiniteGroupTable, GroupError
 
 __all__ = ["ExtensionSpec", "build_extension_group", "extension_projection"]
@@ -100,17 +101,19 @@ def _cocycle_table(spec: ExtensionSpec) -> np.ndarray:
     return f
 
 
-def build_extension_group(spec: ExtensionSpec) -> FiniteGroupTable:
+def build_extension_group(spec: ExtensionSpec, budget: int = DEFAULT_BUDGET) -> FiniteGroupTable:
     """Multiplication table of E on pairs (c, a), index c*|G| + index(a).
 
     (c, a)(c', a') = (c + c' + f(a, a'), a + a') with f the cocycle sum.
+    Its |E|^2 entries, more than any other table here, are checked first.
     """
     q = spec.quotient
     ng = q.order
     pk = spec.kernel_order
+    size = pk * ng
+    check_budget(size * size, budget, f"the multiplication table of a group of order {size}")
     f = _cocycle_table(spec)
     qt = q.group_table()
-    size = pk * ng
     c_idx, a_idx = np.divmod(np.arange(size), ng)
     c_sum = (c_idx[:, None] + c_idx[None, :] + f[a_idx[:, None], a_idx[None, :]]) % pk
     a_sum = qt.mul[a_idx[:, None], a_idx[None, :]]

@@ -20,8 +20,8 @@ Exactness bound.  ``_mul_add`` does every float64 product, with the
 mod-p reduction delayed: a sum of k products of residues plus one
 residue is at most k(p-1)^2 + (p-1), exact below 2^53.  It cuts the
 inner dimension into chunks that keep that sum plus p (the reduction's
-quotient may be one too large) below 2^53, and refuses p > 2^26, where
-a chunk would hold a single product.
+quotient may be one too large) below 2^53, and refuses p > MAX_PRIME =
+2^26, where a chunk would hold a single product.
 
 Crossover.  Under 2^17 entries or 129 columns, one panel: the plain
 loop.  On a 2-core x86 box with one BLAS thread, the 1,145 eliminations
@@ -38,6 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "BudgetExceeded",
+    "DEFAULT_BUDGET",
+    "MAX_PRIME",
+    "check_budget",
     "LinAlgError",
     "rank",
     "rank_profile",
@@ -57,9 +61,23 @@ _PANEL = 64
 # Rows of a deferred update per product: about 1 MB of float64.
 _SLAB_ENTRIES = 1 << 17
 
+MAX_PRIME = 1 << 26
+DEFAULT_BUDGET = 1 << 27  # entries: 1 GiB as int64
+
 
 class LinAlgError(ValueError):
     """Inconsistent input to a linear-algebra operation."""
+
+
+class BudgetExceeded(RuntimeError):
+    """An array would hold more entries than the budget allows."""
+
+
+def check_budget(entries: int, budget: int, what: str) -> None:
+    """No array a command builds may hold more than `budget` entries (rows x
+    cols, or rows x faces for a bar face matrix); callers check before allocating."""
+    if entries > budget:
+        raise BudgetExceeded(f"{what} needs {entries:,} entries, budget is {budget:,}")
 
 
 def _as_array(entries, p: int, cols: int | None = None) -> np.ndarray:
@@ -73,7 +91,7 @@ def _as_array(entries, p: int, cols: int | None = None) -> np.ndarray:
 
 def _chunk(p: int) -> int:
     """Largest exact inner dimension k: k(p-1)^2 + (p-1) + p < 2^53."""
-    if p > 1 << 26:
+    if p > MAX_PRIME:
         raise LinAlgError(f"p = {p} exceeds 2^26, the float64 product bound")
     return ((1 << 53) - 2 * p) // (p - 1) ** 2
 
@@ -293,13 +311,6 @@ class Subquotient:
         if ((v - c_b @ b - c_r @ self.quotient_reps) % self.p).any():
             raise LinAlgError("vector is not a cycle (not in the cycle span)")
         return c_r if block else c_r[0]
-
-    def lift(self, coords) -> np.ndarray:
-        """Representative cycle of the class with the given coordinates."""
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1) % self.p
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim, dtype=np.int64)
-        return (coords @ self.quotient_reps) % self.p
 
 
 def subquotient_of(cycles, boundaries, ambient_dim: int, p: int) -> Subquotient:

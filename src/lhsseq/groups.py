@@ -13,6 +13,8 @@ from functools import reduce
 
 import numpy as np
 
+from .fplinalg import MAX_PRIME
+
 __all__ = [
     "GroupError",
     "FiniteGroupTable",
@@ -138,6 +140,8 @@ class AbelianPGroupSpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if self.p > MAX_PRIME:
+            raise GroupError(f"p = {self.p} exceeds 2^26, the bound of exact F_p arithmetic")
         if not is_prime(self.p):
             raise GroupError(f"p must be a prime, got {self.p}")
         object.__setattr__(self, "exponents", tuple(int(m) for m in self.exponents))
@@ -156,14 +160,8 @@ class AbelianPGroupSpec:
     def order(self) -> int:
         return int(np.prod([1] + list(self.factor_orders)))
 
-    def encode(self, coords) -> int:
-        """Mixed-radix index of (a_1, ..., a_r), first factor most significant."""
-        idx = 0
-        for a, n in zip(coords, self.factor_orders):
-            idx = idx * n + (int(a) % n)
-        return idx
-
     def decode(self, idx: int) -> tuple[int, ...]:
+        """(a_1, ..., a_r) of a mixed-radix index, first factor most significant."""
         coords = []
         for n in reversed(self.factor_orders):
             coords.append(idx % n)

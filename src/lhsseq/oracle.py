@@ -32,7 +32,8 @@ import numpy as np
 
 from .extensions import ExtensionSpec, build_extension_group, extension_projection
 # oracle.rank is not used here but stays importable: perfbench's tracer tests call it
-from .fplinalg import kernel_basis, rank, rank_profile, subquotient_of  # noqa: F401
+from .fplinalg import (DEFAULT_BUDGET, check_budget, kernel_basis, rank,  # noqa: F401
+                       rank_profile, subquotient_of)
 from .groups import FiniteGroupTable, GroupError, smallest_prime_factor
 from .resolutions import Resolution, abelian_minimal_resolution
 
@@ -42,9 +43,6 @@ __all__ = [
     "double_complex_ss",
     "DoubleComplexDims",
 ]
-
-DEFAULT_BIDEGREE_BUDGET = 100_000
-
 
 def _generating_set(group: FiniteGroupTable) -> list[int]:
     """A small generating set, found greedily."""
@@ -86,7 +84,8 @@ def _act_matrix(group: FiniteGroupTable, g: int, n_blocks: int) -> np.ndarray:
     return perm
 
 
-def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None = None) -> Resolution:
+def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None = None,
+                       budget: int = DEFAULT_BUDGET) -> Resolution:
     """Minimal free resolution of F_p over F_p[group], group a p-group;
     p defaults to the smallest prime dividing the order.
 
@@ -103,10 +102,13 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
     ranks = [1]
     diffs: list[np.ndarray] = []
     current = np.ones((1, order), dtype=np.int64)  # the augmentation
+    image = 1  # rank of current: by exactness, the dimension of the kernel before it
     for n in range(1, max_degree + 1):
+        n_blocks = ranks[-1]
+        check_budget(len(gens) * (n_blocks * order - image) * n_blocks * order, budget,
+                     f"the translates of the kernel of d_{n - 1}")
         k = kernel_basis(current, p)
         rad = []
-        n_blocks = ranks[-1]
         for g in gens:
             perm = _act_matrix(group, g, n_blocks)
             rad.append((k[:, perm] - k) % p)
@@ -114,6 +116,7 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
         sq = subquotient_of(k, radk, k.shape[1], p)
         reps = sq.quotient_reps
         new_rank = reps.shape[0]
+        check_budget(n_blocks * new_rank * order**2, budget, f"d_{n} of the minimal resolution")
         d = np.zeros((n_blocks * order, new_rank * order), dtype=np.int64)
         perms = np.stack([_act_matrix(group, g, n_blocks) for g in range(order)])
         for b in range(new_rank):
@@ -121,7 +124,7 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
             d[:, b * order : (b + 1) * order] = reps[b][perms].T
         ranks.append(new_rank)
         diffs.append(d)
-        current = d
+        current, image = d, k.shape[0]
     return Resolution(
         group=group,
         p=p,
@@ -132,11 +135,12 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
     )
 
 
-def cohomology_dims(group: FiniteGroupTable, max_degree: int, p: int | None = None) -> list[int]:
+def cohomology_dims(group: FiniteGroupTable, max_degree: int, p: int | None = None,
+                    budget: int = DEFAULT_BUDGET) -> list[int]:
     """dim H^n(group; F_p) for n <= max_degree, from the minimal resolution."""
     if max_degree < 0:
         raise GroupError(f"max degree must be non-negative, got {max_degree}")
-    return minimal_resolution(group, max_degree, p).ranks
+    return minimal_resolution(group, max_degree, p, budget).ranks
 
 
 # -- the double complex oracle -------------------------------------------
@@ -144,12 +148,14 @@ def cohomology_dims(group: FiniteGroupTable, max_degree: int, p: int | None = No
 
 @dataclass
 class DoubleComplexDims:
-    """Page dimension tables of the honest double complex."""
+    """Page dimension tables of the honest double complex, with |E| and dim H^n(E)."""
 
     spec: ExtensionSpec
     max_total_degree: int
     r_max: int
     tables: dict[int, dict[tuple[int, int], int]]
+    group_order: int
+    cohomology_dims: list[int]
 
     def dim(self, r: int, i: int, j: int) -> int:
         return self.tables.get(r, {}).get((i, j), 0)
@@ -170,23 +176,16 @@ class _HomDoubleComplex:
     vertical one the adjoint of (-1)^i (1 (x) d^Q).
     """
 
-    def __init__(self, spec: ExtensionSpec, max_total: int,
-                 budget: int = DEFAULT_BIDEGREE_BUDGET):
+    def __init__(self, spec: ExtensionSpec, max_total: int, budget: int):
         self.spec = spec
         self.p = spec.p
-        self.P: Resolution = abelian_minimal_resolution(spec.quotient, max_total)
-        self.E = build_extension_group(spec)
-        self.Q = minimal_resolution(self.E, max_total, spec.p)
+        self.E = build_extension_group(spec, budget)
+        self.Q = minimal_resolution(self.E, max_total, spec.p, budget)
+        self.P: Resolution = abelian_minimal_resolution(spec.quotient, max_total, budget)
         self.G = self.P.group
         self.pi = extension_projection(spec, self.E.order)
         self.max_total = max_total
         self.ng = self.G.order
-        for i in range(max_total + 1):
-            for j in range(max_total + 1 - i):
-                if self.dim(i, j) > budget:
-                    raise GroupError(
-                        f"double complex bidegree ({i},{j}) exceeds the budget"
-                    )
 
     def a(self, i: int) -> int:
         return self.P.rank(i)
@@ -241,15 +240,21 @@ def double_complex_ss(
     spec: ExtensionSpec,
     max_total_degree: int,
     r_max: int = 7,
-    budget: int = DEFAULT_BIDEGREE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> DoubleComplexDims:
     """Page dimensions E_r^{p,q} (1 <= r <= r_max, p+q <= max_total_degree)
-    of the honest double complex, by rank profiles of the filtration."""
+    of the honest double complex, by rank profiles of the filtration.
+    The budget is checked on every D_n: T^n -> T^{n+1} before any is built."""
     deg = max_total_degree
-    cx = _HomDoubleComplex(spec, deg + 1, budget=budget)
+    if deg < 0:
+        raise GroupError(f"max degree must be non-negative, got {deg}")
+    cx = _HomDoubleComplex(spec, deg + 1, budget)
     p = spec.p
 
     dims = {(i, j): cx.dim(i, j) for i in range(deg + 2) for j in range(deg + 2 - i)}
+    total = [sum(dims[(i, n - i)] for i in range(n + 1)) for n in range(deg + 2)]
+    for n in range(deg + 1):
+        check_budget(total[n + 1] * total[n], budget, f"the total differential D_{n}")
 
     # profiles[n][cb, rb]: rank-profile pairs of D: T^n -> T^{n+1} in
     # column block cb and row block rb.  Columns run by descending and
@@ -298,7 +303,8 @@ def double_complex_ss(
                     table[(i, q)] = d
         tables[r] = table
     return DoubleComplexDims(
-        spec=spec, max_total_degree=deg, r_max=r_max, tables=tables
+        spec=spec, max_total_degree=deg, r_max=r_max, tables=tables,
+        group_order=cx.E.order, cohomology_dims=cx.Q.ranks[: deg + 1],
     )
 
 

@@ -13,24 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinalg import rank
+from .fplinalg import DEFAULT_BUDGET, check_budget, rank
 from .groups import AbelianPGroupSpec, FiniteGroupTable, GroupError, cyclic_group, direct_product
 
 __all__ = [
     "Resolution",
-    "BudgetExceeded",
     "cyclic_resolution",
     "tensor_resolution",
     "abelian_minimal_resolution",
     "homology_dims",
 ]
-
-DEFAULT_BASIS_BUDGET = 2_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
 
 @dataclass
 class Resolution:
@@ -102,7 +94,7 @@ def _regroup(m: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     )
 
 
-def tensor_resolution(a: Resolution, b: Resolution) -> Resolution:
+def tensor_resolution(a: Resolution, b: Resolution, budget: int = DEFAULT_BUDGET) -> Resolution:
     """Total complex of A (x) B over the direct product group.
 
     Labels are (label_a, label_b, deg_a, deg_b); generators are ordered
@@ -127,7 +119,9 @@ def tensor_resolution(a: Resolution, b: Resolution) -> Resolution:
 
     diffs = []
     for n in range(1, max_degree + 1):
-        d = np.zeros((len(labels[n - 1]) * g.order, len(labels[n]) * g.order), dtype=np.int64)
+        shape = (len(labels[n - 1]) * g.order, len(labels[n]) * g.order)
+        check_budget(shape[0] * shape[1], budget, f"d_{n} of the {g.name} tensor resolution")
+        d = np.zeros(shape, dtype=np.int64)
         for i in range(n + 1):
             j = n - i
             c0 = starts[n][i] * g.order
@@ -161,7 +155,8 @@ def tensor_resolution(a: Resolution, b: Resolution) -> Resolution:
     )
 
 
-def abelian_minimal_resolution(spec: AbelianPGroupSpec, max_degree: int) -> Resolution:
+def abelian_minimal_resolution(spec: AbelianPGroupSpec, max_degree: int,
+                               budget: int = DEFAULT_BUDGET) -> Resolution:
     """Left-associated tensor of the cyclic resolutions of the factors.
 
     Labels are flattened to multidegree tuples (d_1, ..., d_r); for the
@@ -179,7 +174,7 @@ def abelian_minimal_resolution(spec: AbelianPGroupSpec, max_degree: int) -> Reso
         )
     res = cyclic_resolution(spec.factor_orders[0], spec.p, max_degree)
     for n_ord in spec.factor_orders[1:]:
-        res = tensor_resolution(res, cyclic_resolution(n_ord, spec.p, max_degree))
+        res = tensor_resolution(res, cyclic_resolution(n_ord, spec.p, max_degree), budget)
     res.basis_labels = [
         [_flatten_multidegree(lab) for lab in row] for row in res.basis_labels
     ]

@@ -30,9 +30,8 @@ from .extensions import (
     extension_projection,
     kernel_injection,
 )
-from .fplinalg import kernel_basis, solve_linear, subquotient_of
+from .fplinalg import DEFAULT_BUDGET, check_budget, kernel_basis, solve_linear, subquotient_of
 from .groups import GroupError
-from .resolutions import BudgetExceeded, DEFAULT_BASIS_BUDGET
 
 __all__ = [
     "BarDoubleComplex",
@@ -88,41 +87,23 @@ class E0Cochain:
         return self.i + self.j
 
 
-def _face_matrix(coeffs, src: np.ndarray, cols: int) -> sp.csr_matrix:
-    """The CSR matrix with coefficient coeffs[k] at column src[r, k] of
-    every row r.  Coefficients stay the integers +-1 (a row may repeat a
-    column), so products of these matrices cancel exactly and store
-    nothing where they vanish."""
-    rows, faces = src.shape
-    return sp.csr_matrix(
-        (np.tile(np.array(coeffs, dtype=np.int64), rows), src.ravel(),
-         np.arange(0, rows * faces + 1, faces)),
-        shape=(rows, cols),
-    )
-
-
 class BarDoubleComplex:
-    """Cochain arithmetic on Hom_E(P_i (x) Q_j, F_p)."""
+    """Cochain arithmetic on Hom_E(P_i (x) Q_j, F_p); the budget is checked
+    on the cochains through `bound` here, on face matrices and products later."""
 
-    def __init__(self, spec: ExtensionSpec, bound: int,
-                 budget: int = DEFAULT_BASIS_BUDGET):
+    def __init__(self, spec: ExtensionSpec, bound: int, budget: int = DEFAULT_BUDGET):
         self.spec = spec
         self.p = spec.p
         self.bound = bound
+        self.budget = budget
+        self.E = build_extension_group(spec, budget)
         self.G = spec.quotient.group_table()
-        self.E = build_extension_group(spec)
         self.pi = extension_projection(spec, self.E.order)
         self.iota = kernel_injection(spec)
         self.ng = self.G.order
         self.ne = self.E.order
-        total = sum(
-            self.dim(i, j) for i in range(bound + 1) for j in range(bound + 1 - i)
-        )
-        if total > budget:
-            raise BudgetExceeded(
-                f"double complex through degree {bound} needs {total} basis "
-                f"elements, budget is {budget}"
-            )
+        check_budget(max(self.dim(i, bound - i) for i in range(bound + 1)), budget,
+                     f"a cochain of total degree {bound}")
         self._digits: dict = {}
         self._dmat: dict = {}
 
@@ -218,15 +199,25 @@ class BarDoubleComplex:
         return [(-1) ** k for k in range(it + 1)], src
 
     def d0_matrix(self, i: int, j: int) -> sp.csr_matrix:
-        key = ("d0", i, j)
-        if key not in self._dmat:
-            self._dmat[key] = _face_matrix(*self._d0_terms(i, j), self.dim(i, j))
-        return self._dmat[key]
+        return self._face_matrix("d0", i, j, self.dim(i, j + 1), j + 2, self._d0_terms)
 
     def d1_matrix(self, i: int, j: int) -> sp.csr_matrix:
-        key = ("d1", i, j)
+        return self._face_matrix("d1", i, j, self.dim(i + 1, j), i + 2, self._d1_terms)
+
+    def _face_matrix(self, name: str, i: int, j: int, rows: int, faces: int, terms):
+        """The cached CSR matrix of d0 or d1 out of (i, j): coefficient
+        coeffs[k] at column src[r, k] of every row r.  Coefficients stay the
+        integers +-1 (a row may repeat a column), so products of these
+        matrices cancel exactly and store nothing where they vanish."""
+        key = (name, i, j)
         if key not in self._dmat:
-            self._dmat[key] = _face_matrix(*self._d1_terms(i, j), self.dim(i, j))
+            check_budget(rows * faces, self.budget, f"the {name} face matrix out of ({i}, {j})")
+            coeffs, src = terms(i, j)
+            self._dmat[key] = sp.csr_matrix(
+                (np.tile(np.array(coeffs, dtype=np.int64), rows), src.ravel(),
+                 np.arange(0, rows * faces + 1, faces)),
+                shape=(rows, self.dim(i, j)),
+            )
         return self._dmat[key]
 
     def d0(self, c: E0Cochain) -> E0Cochain:
@@ -292,6 +283,8 @@ class BarDoubleComplex:
             raise GroupError("product lands in a negative bidegree")
         if ti + tj > self.bound + 2:
             raise GroupError("product exceeds the stored bidegree bound")
+        check_budget(self.dim(ti, tj) * max(ti, tj, 1), self.budget,
+                     f"a product in bidegree ({ti}, {tj})")
         p = self.p
         ng, ne = self.ng, self.ne
         g, s, q = self._split_index(ti, tj)
@@ -387,7 +380,7 @@ class BarDoubleComplex:
 
 
 def build_double_complex(spec: ExtensionSpec, bound: int,
-                         budget: int = DEFAULT_BASIS_BUDGET) -> BarDoubleComplex:
+                         budget: int = DEFAULT_BUDGET) -> BarDoubleComplex:
     return BarDoubleComplex(spec, bound, budget=budget)
 
 
@@ -528,9 +521,6 @@ def _standard_kernel_cochain(cx: BarDoubleComplex, degree: int) -> dict[int, int
     return out
 
 
-DENSE_SOLVE_CAP = 50_000_000
-
-
 def _ladder_solve(cx, blocks, rhs, what: str, pinned: dict[int, int] | None = None):
     """Solve sp.bmat(blocks) x = rhs with x[idx] = val for each pinned
     (idx, val) by one dense elimination over F_p; free variables are
@@ -538,11 +528,7 @@ def _ladder_solve(cx, blocks, rhs, what: str, pinned: dict[int, int] | None = No
     m = sp.bmat(blocks, format="csr")
     pins = sorted((pinned or {}).items())
     rows, cols = m.shape[0] + len(pins), m.shape[1]
-    if rows * cols > DENSE_SOLVE_CAP:
-        raise BudgetExceeded(
-            "ladder solve needs a dense elimination beyond the size cap; "
-            "use a smaller extension for ladder-based suites"
-        )
+    check_budget(rows * cols, cx.budget, f"the dense {what} solve of the ladder")
     a = np.zeros((rows, cols), dtype=np.int64)
     a[: m.shape[0]] = m.toarray()
     target = np.zeros(rows, dtype=np.int64)

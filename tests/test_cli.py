@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from lhsseq.cli import main
+from lhsseq.cli import build_parser, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -226,3 +227,49 @@ def test_oracle_negative_max_degree_errors(capsys):
     rc = main(["oracle", "--spec", str(CONFIGS / "split_27.cfg"), "--max-degree", "-3"])
     assert rc == 2
     assert _one_line_error(capsys)
+
+
+def test_oracle_over_budget_group_errors_at_once(tmp_path, capsys):
+    # |E| = 101^3: its table would need 101^6 entries, refused before the
+    # 101^2 x 101^2 cocycle table is built
+    spec = tmp_path / "big.cfg"
+    spec.write_text('{p: 101, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}')
+    t0 = time.monotonic()
+    assert main(["oracle", "--spec", str(spec), "--max-degree", "2"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert _one_line_error(capsys)
+
+
+def test_prime_beyond_exact_arithmetic_errors(tmp_path, capsys):
+    # 67108879 is the first prime above 2^26
+    spec = tmp_path / "p.cfg"
+    spec.write_text('{p: 67108879, kernel_m: 1, quotient: [1], xi: "x1"}')
+    assert main(["sseq", "--spec", str(spec), "--max-degree", "4"]) == 2
+    assert _one_line_error(capsys)
+    rc = main(["massey", "--p", "67108879", "--exponents", "1",
+               "--a", "y1", "--b", "y1", "--c", "y1"])
+    assert rc == 2
+    assert _one_line_error(capsys)
+
+
+REQUIRED_ARGS = {
+    "sseq": ["--spec", "s.cfg"],
+    "oracle": ["--spec", "s.cfg"],
+    "compare": ["--spec", "s.cfg"],
+    "massey": ["--p", "3", "--exponents", "1", "--a", "y1", "--b", "y1", "--c", "y1"],
+    "verify": [],
+    "expand": ["--num", "1", "--den", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_budget_and_seed_only_where_read(command, capsys):
+    parser = build_parser()
+    for flag, readers in (("--budget", {"oracle", "compare", "verify"}),
+                          ("--seed", {"sseq", "verify"})):
+        argv = [command, *REQUIRED_ARGS[command], flag, "1"]
+        if command in readers:
+            assert getattr(parser.parse_args(argv), flag[2:]) == 1
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)

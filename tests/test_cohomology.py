@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhsseq.cohomology import (
     CohoClass,
@@ -15,6 +17,7 @@ from lhsseq.cohomology import (
     triple_h,
 )
 from lhsseq.groups import AbelianPGroupSpec
+from lhsseq.parsing import parse_class
 
 C3C3 = AbelianPGroupSpec(3, (1, 1))
 C9C3 = AbelianPGroupSpec(3, (2, 1))
@@ -251,3 +254,20 @@ def test_multiplication_matrix_agrees_with_cup():
     for j, mon in enumerate(monomial_basis(g, 2)):
         prod = cup(xi, CohoClass(g, {mon: 1}))
         assert (m[:, j] == ctx.to_vector(prod, 4)).all()
+
+
+@st.composite
+def classes(draw):
+    """A homogeneous class over a random abelian p-group, p = 2 included
+    (where y_i^2 = x_i on factors of order two)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    group = AbelianPGroupSpec(p, tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))))
+    basis = monomial_basis(group, draw(st.integers(0, 6)))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis)))
+    return CohoClass(group, dict(zip(basis, coeffs)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(classes())
+def test_parse_class_round_trips(c):
+    assert parse_class(str(c), c.group) == c

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lhsseq.cohomology import CohoClass
+from lhsseq.cohomology import CohoClass, monomial_basis, triple_h
 from lhsseq.diagonals import (
     ce_diagonal,
     ce_homotopy,
@@ -244,3 +244,51 @@ def test_tensor_homotopy_identity(o1, o2, p):
     diag = tensor_diagonal(da, db, t)
     hm = tensor_homotopy(ha, da, hb, db, t)
     assert homotopy_identity_residual(t, diag, hm, 4) == 0
+
+
+def _pair_triple_duals(res, hmap, labs, degs, p):
+    """Chain-level value of the homotopy on the duals of three free
+    generators: on each generator of degree sum(degs) - 1, the sum of the
+    coefficients of the terms whose pieces carry the labels labs (the
+    duals are cochains with trivial action, so group elements drop out)."""
+    n = sum(degs) - 1
+    out = {}
+    for lab in res.labels(n):
+        acc = sum(c for c, pieces in hmap.component(n, degs).get(lab, [])
+                  if tuple(piece_lab for _, piece_lab in pieces) == labs)
+        if acc % p:
+            out[lab] = acc % p
+    return out
+
+
+@pytest.mark.parametrize("exps,top", [((1,), 6), ((1, 1), 5), ((2, 1), 5), ((1, 2), 5)],
+                         ids=["C3", "C3+C3", "C9+C3", "C3+C9"])
+def test_triple_h_is_the_homotopy_on_monomial_duals(exps, top):
+    # triple_h, which the engine's d4 Massey map evaluates, must equal the
+    # pairing of the chain-level homotopy with the monomial duals, for
+    # every triple of positive-degree monomials with output degree <= top
+    g = AbelianPGroupSpec(3, exps)
+    factors = [cyclic_resolution(order, 3, top + 1) for order in g.factor_orders]
+    homs = [cyclic_triple_homotopy(r) for r in factors]
+    if g.rank == 1:
+        res, hmap = factors[0], homs[0]
+
+        def label_of(mon):
+            return (2 * mon[1][0] + mon[0][0],)
+
+    else:
+        diags = [cyclic_diagonal(r) for r in factors]
+        res = tensor_resolution(*factors)
+        hmap = tensor_homotopy(homs[0], diags[0], homs[1], diags[1], res)
+
+        def label_of(mon):
+            d1, d2 = 2 * mon[1][0] + mon[0][0], 2 * mon[1][1] + mon[0][1]
+            return ((d1,), (d2,), d1, d2)
+
+    for degs in itertools.product(range(1, top + 1), repeat=3):
+        if sum(degs) - 1 > top:
+            continue
+        for mons in itertools.product(*(monomial_basis(g, d) for d in degs)):
+            got = _pair_triple_duals(res, hmap, tuple(map(label_of, mons)), degs, 3)
+            h = triple_h(*(CohoClass(g, {m: 1}) for m in mons))
+            assert got == {label_of(m): c for m, c in h.terms.items()}, (exps, mons)

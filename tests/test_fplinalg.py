@@ -179,7 +179,7 @@ def test_subquotient_reduce_block_equals_rows():
 def test_subquotient_lift_round_trip():
     sq = subquotient_of(np.eye(4, dtype=int), [[1, 1, 0, 0]], 4, 3)
     for coords in itertools.product(range(3), repeat=sq.dim):
-        v = sq.lift(coords)
+        v = (np.array(coords) @ sq.quotient_reps) % 3
         assert (sq.reduce(v) == coords).all()
 
 

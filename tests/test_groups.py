@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,11 +33,13 @@ def test_bad_table_rejected():
 
 
 def test_abelian_spec_encode_decode():
+    # mixed radix, first factor most significant: a bijection onto the
+    # coordinate tuples
     spec = AbelianPGroupSpec(3, (2, 1))
     assert spec.order == 27
-    for idx in range(27):
-        assert spec.encode(spec.decode(idx)) == idx
-    assert spec.decode(spec.encode((4, 2))) == (4, 2)
+    assert [spec.decode(idx) for idx in range(27)] == list(
+        itertools.product(range(9), range(3)))
+    assert spec.decode(4 * 3 + 2) == (4, 2)
 
 
 def test_abelian_spec_table_matches_encoding():
@@ -44,8 +48,8 @@ def test_abelian_spec_table_matches_encoding():
     for a in range(9):
         for b in range(9):
             ca, cb = spec.decode(a), spec.decode(b)
-            s = tuple((u + v) for u, v in zip(ca, cb))
-            assert g.multiply(a, b) == spec.encode(s)
+            s = tuple((u + v) % n for u, v, n in zip(ca, cb, spec.factor_orders))
+            assert spec.decode(g.multiply(a, b)) == s
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 15])

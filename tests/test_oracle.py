@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from lhsseq import oracle as oracle_module
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.engine import expand_rational, poly_mul, run
 from lhsseq.extensions import ExtensionSpec, build_extension_group
+from lhsseq.fplinalg import BudgetExceeded
 from lhsseq.groups import AbelianPGroupSpec, FiniteGroupTable, GroupError, cyclic_group
 from lhsseq.oracle import (
     cohomology_dims,
@@ -11,6 +13,7 @@ from lhsseq.oracle import (
     euler_telescope,
     minimal_resolution,
 )
+from lhsseq.parsing import parse_extension_spec
 
 C3C3 = AbelianPGroupSpec(3, (1, 1))
 
@@ -136,4 +139,28 @@ def test_einf_totals_equal_group_cohomology_small():
     spec = ext_spec(y1y2())
     oracle = double_complex_ss(spec, 5, r_max=7)
     e = build_extension_group(spec)
-    assert oracle.total_dims(7, 5) == cohomology_dims(e, 5)
+    assert oracle.total_dims(7, 5) == cohomology_dims(e, 5) == oracle.cohomology_dims
+    assert oracle.group_order == e.order
+
+
+def test_minimal_resolution_budget():
+    g = C3C3.group_table()
+    # degree 1: two generators translate the 8-dim kernel of the
+    # augmentation (2 x 8 x 9 = 144 entries), then d_1 is 9 x 18 = 162
+    with pytest.raises(BudgetExceeded, match="kernel of d_0 needs 144 entries"):
+        minimal_resolution(g, 2, budget=143)
+    with pytest.raises(BudgetExceeded, match="d_1 of the minimal resolution needs 162"):
+        minimal_resolution(g, 2, budget=161)
+    assert minimal_resolution(g, 1, budget=162).ranks == [1, 2]
+
+
+def test_double_complex_budget_before_any_rank_profile(monkeypatch):
+    # the order-81 extension of C3^3: D_6 (103M entries) fits the default
+    # budget, D_7 does not, and it is refused before any rank profile
+    def no_profile(*args):
+        raise AssertionError("rank profile taken before the budget check")
+
+    monkeypatch.setattr(oracle_module, "rank_profile", no_profile)
+    spec = parse_extension_spec('{p: 3, kernel_m: 1, quotient: [1, 1, 1], xi: "y1*y2 + x3"}')
+    with pytest.raises(BudgetExceeded, match="D_7 needs 241,724,736 entries"):
+        double_complex_ss(spec, 7)

@@ -3,6 +3,7 @@ import pytest
 
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.extensions import ExtensionSpec, build_extension_group
+from lhsseq.fplinalg import BudgetExceeded
 from lhsseq.groups import AbelianPGroupSpec
 from lhsseq.oracle import minimal_resolution
 from lhsseq.resolutions import (
@@ -110,3 +111,11 @@ def test_differential_shapes():
     res = abelian_minimal_resolution(AbelianPGroupSpec(2, (1, 1)), 3)
     for n in range(1, 4):
         assert res.differentials[n - 1].shape == (res.rank(n - 1) * 4, res.rank(n) * 4)
+
+
+def test_tensor_resolution_budget():
+    a = cyclic_resolution(3, 3, 2)
+    # over C3 x C3, d_1 is 9 x 18 and d_2 is 18 x 27 = 486 entries
+    assert tensor_resolution(a, a, budget=486).ranks == [1, 2, 3]
+    with pytest.raises(BudgetExceeded, match="d_2 of the C3xC3 tensor resolution"):
+        tensor_resolution(a, a, budget=485)

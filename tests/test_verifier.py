@@ -4,8 +4,7 @@ import pytest
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.extensions import ExtensionSpec
 from lhsseq.groups import AbelianPGroupSpec, GroupError
-from lhsseq import verifier
-from lhsseq.resolutions import BudgetExceeded
+from lhsseq.fplinalg import BudgetExceeded
 from lhsseq.verifier import (
     BarDoubleComplex,
     build_double_complex,
@@ -66,6 +65,20 @@ def test_dimension_formula(cx4):
 def test_bar_budget():
     with pytest.raises(BudgetExceeded):
         build_double_complex(c4_extension(), 3, budget=100)
+
+
+def test_bar_budget_past_bound():
+    # bound 2: every cochain through degree 2 fits (at most 243 entries),
+    # and so does the d0 face matrix into (0, 2) (243 rows x 3 faces); the
+    # one into (0, 3) (2,187 x 4) and a product landing there do not
+    cx = build_double_complex(c9_extension(), 2, budget=1000)
+    rng = np.random.RandomState(0)
+    a, b = cx.random_cochain(rng, 0, 1), cx.random_cochain(rng, 0, 2)
+    cx.d0(a)
+    with pytest.raises(BudgetExceeded, match=r"d0 face matrix out of \(0, 2\) needs 8,748"):
+        cx.d0(b)
+    with pytest.raises(BudgetExceeded, match=r"product in bidegree \(0, 3\)"):
+        cx.product(a, b, "cup")
 
 
 def test_complex_identities_exhaustive(cx4, cx9):
@@ -213,10 +226,13 @@ def test_xi_prime_nonzero_when_bockstein_nonzero():
         build_ladder(cx)
 
 
-def test_ladder_dense_solve_cap(cx9, monkeypatch):
-    monkeypatch.setattr(verifier, "DENSE_SOLVE_CAP", 100)
-    with pytest.raises(BudgetExceeded, match="size cap"):
-        build_ladder(cx9)
+def test_ladder_dense_solve_cap():
+    # every cochain through degree 3 (at most 2,187 entries) and every face
+    # matrix the ladder reads (at most 2,916) fits; the dense u solve,
+    # 246 x 27, does not
+    cx = build_double_complex(c9_extension(), 3, budget=3000)
+    with pytest.raises(BudgetExceeded, match="dense u solve"):
+        build_ladder(cx)
 
 
 @pytest.mark.parametrize("n", [1, 2])
