@@ -30,7 +30,8 @@ from .extensions import (
     extension_projection,
     kernel_injection,
 )
-from .fplinalg import DEFAULT_BUDGET, check_budget, kernel_basis, solve_linear, subquotient_of
+from .fplinalg import DEFAULT_BUDGET, BudgetExceeded, check_budget
+from .fplinalg import kernel_basis, solve_linear, subquotient_of
 from .groups import GroupError
 
 __all__ = [
@@ -85,6 +86,22 @@ class E0Cochain:
     @property
     def total_degree(self) -> int:
         return self.i + self.j
+
+
+def _row_blocks(*mats: sp.csr_matrix):
+    """(lo, hi, blocks): rows lo..hi-1 of equally tall face matrices, as many as
+    the narrowest has columns, as views on the stored arrays (m[lo:hi] and scipy's
+    constructor would copy; every row holds `faces` entries, so the first offsets
+    of indptr serve every block).  scipy upcasts int8 data in every product and
+    sizes a product's workspace by its whole left operand, so products run per block."""
+    rows, step = mats[0].shape[0], min(m.shape[1] for m in mats)
+    for lo in range(0, rows, step):
+        hi, blocks = min(lo + step, rows), []
+        for m in mats:
+            b, (a, z) = sp.csr_matrix((hi - lo, m.shape[1]), dtype=m.dtype), m.indptr[[lo, hi]]
+            b.data, b.indices, b.indptr = m.data[a:z], m.indices[a:z], m.indptr[: hi - lo + 1]
+            blocks.append(b)
+        yield lo, hi, blocks
 
 
 class BarDoubleComplex:
@@ -162,90 +179,92 @@ class BarDoubleComplex:
 
     # -- differentials ----------------------------------------------------
 
-    def _d0_terms(self, i: int, j: int):
-        """Faces of d_0 : (i, j) -> (i, j+1) on the target basis:
-        (coefficients, source index of every target row and face)."""
-        jt = j + 1
-        g, s, q = self._split_index(i, jt)
-        digits = self._tuple_digits(self.ne, jt)[q]
-        epow = self.ne ** np.arange(jt - 1)[::-1]
-        psize, qsize = self.ng**i, self.ne ** (jt - 1)
-        src = np.empty((len(q), jt + 1), dtype=np.int64)
-        # face 0: translate by e_1
-        e1 = digits[:, 0]
-        g0 = self.G.mul[self.G.inv[self.pi[e1]], g]
-        rel = self.E.mul[self.E.inv[e1][:, None], digits[:, 1:]]
-        src[:, 0] = (g0 * psize + s) * qsize + rel @ epow
-        # inner and last faces: drop entry k
-        base = (g * psize + s) * qsize
-        for k in range(1, jt + 1):
-            src[:, k] = base + np.delete(digits, k - 1, axis=1) @ epow
-        sign0 = -1 if i % 2 else 1
-        return [sign0 * (-1) ** k for k in range(jt + 1)], src
-
-    def _d1_terms(self, i: int, j: int):
-        """Faces of d_1 : (i, j) -> (i+1, j), as in _d0_terms."""
-        it = i + 1
-        g, s, q = self._split_index(it, j)
-        digits = self._tuple_digits(self.ng, it)[s]
-        ppow = self.ng ** np.arange(it - 1)[::-1]
-        psize, qsize = self.ng ** (it - 1), self.ne**j
-        src = np.empty((len(s), it + 1), dtype=np.int64)
-        s1 = digits[:, 0]
-        rel = self.G.mul[self.G.inv[s1][:, None], digits[:, 1:]]
-        src[:, 0] = (self.G.mul[g, s1] * psize + rel @ ppow) * qsize + q
-        for k in range(1, it + 1):
-            src[:, k] = (g * psize + np.delete(digits, k - 1, axis=1) @ ppow) * qsize + q
-        return [(-1) ** k for k in range(it + 1)], src
-
     def d0_matrix(self, i: int, j: int) -> sp.csr_matrix:
-        return self._face_matrix("d0", i, j, self.dim(i, j + 1), j + 2, self._d0_terms)
+        return self._face_matrix("d0", i, j)
 
     def d1_matrix(self, i: int, j: int) -> sp.csr_matrix:
-        return self._face_matrix("d1", i, j, self.dim(i + 1, j), i + 2, self._d1_terms)
+        return self._face_matrix("d1", i, j)
 
-    def _face_matrix(self, name: str, i: int, j: int, rows: int, faces: int, terms):
-        """The cached CSR matrix of d0 or d1 out of (i, j): coefficient
-        coeffs[k] at column src[r, k] of every row r.  Coefficients stay the
-        integers +-1 (a row may repeat a column), so products of these
-        matrices cancel exactly and store nothing where they vanish."""
+    def _face_matrix(self, name: str, i: int, j: int) -> sp.csr_matrix:
+        """The cached CSR matrix of d0 : (i, j) -> (i, j+1) or d1 : (i, j) -> (i+1, j):
+        each target row holds one int8 sign +-1 per face at the face's int32 source
+        column (a row may repeat a column), so products of these matrices cancel
+        exactly and store nothing where they vanish.  The columns are written by
+        broadcasting over the target's digit axes (g, s_1..s_i, e_1..e_j).  Face
+        k >= 1 drops the k-th digit of the moving block (e for d0, s for d1) and keeps
+        every other digit at its source weight; face 0 drops the block's first digit
+        x, maps g to pi(x)^-1 g (d0) or g x (d1) and each later block digit d to x^-1 d."""
         key = (name, i, j)
-        if key not in self._dmat:
-            check_budget(rows * faces, self.budget, f"the {name} face matrix out of ({i}, {j})")
-            coeffs, src = terms(i, j)
-            self._dmat[key] = sp.csr_matrix(
-                (np.tile(np.array(coeffs, dtype=np.int64), rows), src.ravel(),
-                 np.arange(0, rows * faces + 1, faces)),
-                shape=(rows, self.dim(i, j)),
-            )
+        if key in self._dmat:
+            return self._dmat[key]
+        d0 = name == "d0"
+        ti, tj = (i, j + 1) if d0 else (i + 1, j)
+        rows, faces = self.dim(ti, tj), (tj if d0 else ti) + 1
+        what = f"the {name} face matrix out of ({i}, {j})"
+        check_budget(rows * faces, self.budget, what)
+        if rows * faces > np.iinfo(np.int32).max:
+            raise BudgetExceeded(f"{what} needs {rows * faces:,} entries, past int32 indices")
+        ng, ne, grp = self.ng, self.ne, self.E if d0 else self.G
+        sizes = (ng,) * (ti + 1) + (ne,) * tj
+        weights = [ng ** (i - a) * ne**j for a in range(i + 1)] + [ne**b for b in range(j)][::-1]
+        first, stop = (ti + 1, len(sizes)) if d0 else (1, ti + 1)  # the moving block's axes
+        move_g = self.G.mul[self.G.inv[self.pi]].T if d0 else self.G.mul  # [g, x]
+        move_d = grp.mul[grp.inv]  # [x, d] -> x^-1 d
+        on = lambda t, *axes: t.astype(np.int32).reshape(
+            [sizes[a] if a in axes else 1 for a in range(len(sizes))])
+        src = np.empty(rows * faces, dtype=np.int32)
+        for k in range(faces):
+            drop = first + max(k - 1, 0)
+            w = weights[:drop] + [0] + weights[drop:]
+            terms = {a: on(np.arange(sizes[a]) * w[a], a) for a in range(len(sizes)) if a != drop}
+            if k == 0:
+                terms[0] = on(move_g * w[0], 0, first)
+                terms.update({a: on(move_d * w[a], first, a) for a in range(first + 1, stop)})
+            out = src.reshape(sizes + (faces,))[..., k]
+            out[...] = terms.pop(0)
+            for t in terms.values():
+                out += t
+        signs = np.array([(-1) ** (k + (i if d0 else 0)) for k in range(faces)], dtype=np.int8)
+        self._dmat[key] = sp.csr_matrix(
+            (np.tile(signs, rows), src, np.arange(0, rows * faces + 1, faces, dtype=np.int32)),
+            shape=(rows, self.dim(i, j)),
+        )
         return self._dmat[key]
 
     def d0(self, c: E0Cochain) -> E0Cochain:
-        return E0Cochain(self, c.i, c.j + 1, self.d0_matrix(c.i, c.j) @ c.values % self.p)
+        return E0Cochain(self, c.i, c.j + 1, self._apply(self.d0_matrix(c.i, c.j), c.values))
 
     def d1(self, c: E0Cochain) -> E0Cochain:
-        return E0Cochain(self, c.i + 1, c.j, self.d1_matrix(c.i, c.j) @ c.values % self.p)
+        return E0Cochain(self, c.i + 1, c.j, self._apply(self.d1_matrix(c.i, c.j), c.values))
+
+    def _apply(self, m: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+        out = np.empty(m.shape[0], dtype=np.int64)
+        for lo, hi, (block,) in _row_blocks(m):
+            np.remainder(block @ values, self.p, out=out[lo:hi])
+        return out
 
     def complex_identity_residual(self, max_total: int | None = None) -> int:
         """Exhaustive check of d0^2 = d1^2 = d0 d1 + d1 d0 = 0 on every
         stored bidegree, via sparse products of the integer face matrices,
-        reduced mod p once."""
+        reduced mod p once.  An entry of a @ b is at most faces_a x faces_b
+        times the largest |coefficients| (of d0 d1 + d1 d0, the sum of two
+        such bounds); each identity runs in the narrowest type holding it,
+        since scipy keeps int8 through a product and wraps silently."""
         top = self.bound if max_total is None else max_total
         p = self.p
+        d0, d1 = self.d0_matrix, self.d1_matrix
+        bound = lambda m: int(m.indptr[1]) * max(int(m.data.max()), -int(m.data.min()))
         worst = 0
         for i in range(top + 1):
             for j in range(top + 1 - i):
-                prods = [
-                    self.d0_matrix(i, j + 1) @ self.d0_matrix(i, j),
-                    self.d1_matrix(i + 1, j) @ self.d1_matrix(i, j),
-                    self.d0_matrix(i + 1, j) @ self.d1_matrix(i, j)
-                    + self.d1_matrix(i, j + 1) @ self.d0_matrix(i, j),
-                ]
-                for m in prods:
-                    r = m.data % p
-                    r = r[r > 0]
-                    if r.size:
-                        worst = max(worst, int(np.minimum(r, p - r).max()))
+                for terms in ([(d0(i, j + 1), d0(i, j))], [(d1(i + 1, j), d1(i, j))],
+                              [(d0(i + 1, j), d1(i, j)), (d1(i, j + 1), d0(i, j))]):
+                    dtype = np.min_scalar_type(-sum(bound(a) * bound(b) for a, b in terms))
+                    rights = [b.astype(dtype, copy=False) for _, b in terms]
+                    for *_, lefts in _row_blocks(*(a for a, _ in terms)):
+                        prods = [a.astype(dtype, copy=False) @ b for a, b in zip(lefts, rights)]
+                        r = sum(prods[1:], prods[0]).data % p
+                        worst = max(worst, int(np.minimum(r, p - r).max(initial=0)))
         return worst
 
     # -- products ----------------------------------------------------------
@@ -522,10 +541,10 @@ def _standard_kernel_cochain(cx: BarDoubleComplex, degree: int) -> dict[int, int
 
 
 def _ladder_solve(cx, blocks, rhs, what: str, pinned: dict[int, int] | None = None):
-    """Solve sp.bmat(blocks) x = rhs with x[idx] = val for each pinned
-    (idx, val) by one dense elimination over F_p; free variables are
-    zeroed, so the solution is deterministic."""
-    m = sp.bmat(blocks, format="csr")
+    """Solve sp.bmat(blocks) x = rhs with x[idx] = val for each pinned (idx, val)
+    by one dense elimination over F_p of the blocks upcast from int8; free
+    variables are zeroed, so the solution is deterministic."""
+    m = sp.bmat(blocks, format="csr", dtype=np.int64)
     pins = sorted((pinned or {}).items())
     rows, cols = m.shape[0] + len(pins), m.shape[1]
     check_budget(rows * cols, cx.budget, f"the dense {what} solve of the ladder")
@@ -678,10 +697,11 @@ def bar_differential_matrix(cx: BarDoubleComplex, degree: int) -> np.ndarray:
     """Bar differential on inhomogeneous cochains of the quotient group,
     the map induced by d_1 on row-zero vertical cocycles: d_1 restricted
     to g-constant cochains (its rows of one g block, which every g block
-    repeats; its columns summed over g)."""
+    repeats; its columns summed over g).  An entry of the int8 block and
+    of its sum over g is at most degree + 2, the number of faces per row."""
     rows, cols = cx.ng ** (degree + 1), cx.ng**degree
     block = cx.d1_matrix(degree, 0)[:rows].toarray()
-    return block.reshape(rows, cx.ng, cols).sum(axis=1) % cx.p
+    return block.reshape(rows, cx.ng, cols).sum(axis=1, dtype=np.int64) % cx.p
 
 
 def monomial_bar_cochain(cx: BarDoubleComplex, cls, degree: int | None = None) -> np.ndarray:

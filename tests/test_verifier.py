@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,11 @@ def c4_extension():
 def c9_extension():
     q = AbelianPGroupSpec(3, (1,))
     return ExtensionSpec(p=3, kernel_m=1, quotient=q, xi=CohoClass.x(q, 0))
+
+
+def extraspecial27_extension():
+    q = AbelianPGroupSpec(3, (1, 1))
+    return ExtensionSpec(p=3, kernel_m=1, quotient=q, xi=cup(CohoClass.y(q, 0), CohoClass.y(q, 1)))
 
 
 def split_extension():
@@ -81,6 +89,72 @@ def test_bar_budget_past_bound():
         cx.product(a, b, "cup")
 
 
+def tuple_faces(cx, name, i, j, g, s, e):
+    """(source index, sign) of each face of d0 or d1 out of (i, j) at the
+    target tuple (g, s, e), straight from the bar differentials."""
+    G, E = cx.G, cx.E
+    if name == "d0":
+        x = e[0]
+        moved = (G.mul[G.inv[cx.pi[x]], g], s, tuple(E.mul[E.inv[x], d] for d in e[1:]))
+        rest = [(g, s, e[: k - 1] + e[k:]) for k in range(1, len(e) + 1)]
+    else:
+        x = s[0]
+        moved = (G.mul[g, x], tuple(G.mul[G.inv[x], d] for d in s[1:]), e)
+        rest = [(g, s[: k - 1] + s[k:], e) for k in range(1, len(s) + 1)]
+    sign = (-1) ** i if name == "d0" else 1
+    return [(cx.index(*t), sign * (-1) ** k) for k, t in enumerate([moved] + rest)]
+
+
+@pytest.mark.parametrize("fixture", ["cx4", "cx9"])
+def test_face_matrices_match_the_tuple_definition(fixture, request):
+    cx = request.getfixturevalue(fixture)
+    for total in range(4):
+        for i in range(total + 1):
+            j = total - i
+            for name, (ti, tj) in [("d0", (i, j + 1)), ("d1", (i + 1, j))]:
+                m = getattr(cx, f"{name}_matrix")(i, j)
+                faces = m.indptr[1]
+                assert m.shape == (cx.dim(ti, tj), cx.dim(i, j))
+                assert (m.indptr == np.arange(m.shape[0] + 1) * faces).all()
+                for g, s, e in itertools.product(
+                    range(cx.ng),
+                    itertools.product(range(cx.ng), repeat=ti),
+                    itertools.product(range(cx.ne), repeat=tj),
+                ):
+                    r = cx.index(g, s, e)
+                    got = list(zip(m.indices[r * faces:(r + 1) * faces].tolist(),
+                                   m.data[r * faces:(r + 1) * faces].tolist()))
+                    assert got == tuple_faces(cx, name, i, j, g, s, e), (name, i, j, r)
+
+
+def test_face_matrix_int32_index_guard():
+    # 9 * 27^6 = 3.5e9 rows pass a budget of 2^40 but not int32 indices
+    cx = build_double_complex(extraspecial27_extension(), 6, budget=2**40)
+    with pytest.raises(BudgetExceeded, match=r"d0 face matrix out of \(0, 5\).*int32"):
+        cx.d0_matrix(0, 5)
+    assert not cx._dmat
+
+
+def test_face_matrix_memory():
+    cx = build_double_complex(extraspecial27_extension(), 3)
+    tracemalloc.start()
+    m = cx.d0_matrix(0, 3)  # 4.78M rows x 5 faces
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    nbytes = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    assert (m.data.dtype, m.indices.dtype, m.indptr.dtype) == (np.int8, np.int32, np.int32)
+    assert peak <= 1.25 * nbytes
+    assert not cx._digits
+    c = cx.random_cochain(np.random.RandomState(0), 0, 3)
+    tracemalloc.start()
+    out = cx.d0(c)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # the output plus one block: as many rows as m has columns, each with at
+    # most faces + 2 words of 8 bytes (its upcast data, its image, its offset)
+    assert peak <= out.values.nbytes + m.shape[1] * (m.indptr[1] + 2) * 8
+
+
 def test_complex_identities_exhaustive(cx4, cx9):
     assert cx4.complex_identity_residual(3) == 0
     assert cx9.complex_identity_residual(2) == 0
@@ -101,6 +175,23 @@ def test_complex_identities_detect_a_corrupted_face(which, i, j):
     # all-identity tuple, whose image under the next differential cancels
     m.data[-1] += 1
     assert cx.complex_identity_residual(2) != 0
+
+
+def test_complex_identities_exact_past_int8():
+    # all faces of row 0 (the all-identity tuple) hit column 0, so its signs
+    # summing to 130 make entry (0, 0) of d0(0, 2) d0(0, 1) 130 = 1 mod 3; in
+    # int8 it would wrap to -126 = 0 mod 3 and the residual would read 0
+    cx = build_double_complex(c9_extension(), 3)
+    m = cx.d0_matrix(0, 2)
+    assert (m.indices[:4] == 0).all()
+    m.data[:4] = [127, 1, 1, 1]
+    assert cx.complex_identity_residual(2) == 1
+
+
+@pytest.mark.slow
+def test_complex_identities_extraspecial_27():
+    cx = build_double_complex(extraspecial27_extension(), 3)
+    assert cx.complex_identity_residual(2) == 0
 
 
 def test_unit_cochain_is_identity(cx9):
@@ -168,11 +259,7 @@ def test_lemma1_random_pairs(fixture, pairs, seed, request):
 
 @pytest.mark.slow
 def test_lemma1_extraspecial_27():
-    q = AbelianPGroupSpec(3, (1, 1))
-    spec = ExtensionSpec(
-        p=3, kernel_m=1, quotient=q, xi=cup(CohoClass.y(q, 0), CohoClass.y(q, 1))
-    )
-    cx = build_double_complex(spec, 3)
+    cx = build_double_complex(extraspecial27_extension(), 3)
     rng = np.random.RandomState(2)
     cases = [((0, 1), (1, 1)), ((1, 0), (0, 2)), ((1, 1), (1, 0)), ((0, 2), (0, 1))]
     for (i1, j1), (i2, j2) in cases:
