@@ -35,6 +35,7 @@ from .fplinalg import (
     LinAlgError,
     Subquotient,
     kernel_basis,
+    mul_mod,
     solve_linear,
     subquotient_of,
 )
@@ -170,7 +171,7 @@ class EngineContext:
                 if cls.degree != shift:
                     raise EngineError("class degree does not match the shift")
                 m = self.ring.multiplication_matrix(cls, degree)
-            self._mult[key] = m
+            self._mult[key] = m % self.p
         return self._mult[key]
 
     def massey_map(self, degree: int) -> np.ndarray:
@@ -184,7 +185,7 @@ class EngineContext:
                 chi = CohoClass(self.spec.quotient, {mon: 1})
                 val = triple_h(self.xi_prime, chi, self.xi)
                 m[:, col] = self.ring.to_vector(val, degree + 4)
-            self._mult[key] = m
+            self._mult[key] = m % self.p
         return self._mult[key]
 
 
@@ -195,14 +196,21 @@ def init_pages(spec: ExtensionSpec, N: int, r_max: int = DEFAULT_R_MAX) -> Page:
 
 
 def _init_page(ctx: EngineContext) -> Page:
+    """Every cell is its whole coordinate space: the identity is already
+    the canonical echelon basis, so no elimination is needed."""
     cells = {}
     for i in range(ctx.N + 1):
         dim = ctx.ring.dim(i)
         if dim == 0:
             continue
         for j in range(ctx.N + 1 - i):
-            cells[(i, j)] = subquotient_of(
-                np.eye(dim, dtype=np.int64), [], dim, ctx.p
+            cells[(i, j)] = Subquotient(
+                p=ctx.p,
+                ambient_dim=dim,
+                boundary_basis=np.zeros((0, dim), dtype=np.int64),
+                quotient_reps=np.eye(dim, dtype=np.int64),
+                _b_pivots=[],
+                _r_pivots=list(range(dim)),
             )
     return Page(r=2, N=ctx.N, cells=cells, valid_through=ctx.N - ctx.r_max)
 
@@ -214,48 +222,48 @@ def _row_sign(j: int, deg: int) -> int:
 
 def _formula_value(ctx: EngineContext, r: int, i: int, j: int, reps: np.ndarray):
     """Images under d_r of a block of representatives (rows, V_{i,j}
-    coordinates), as rows in V_{i+r, j-r+1} coordinates, or None when the
-    formula gives zero."""
+    coordinates, residues), as rows in V_{i+r, j-r+1} coordinates, or None
+    when the formula gives zero."""
     p = ctx.p
     k, eps = divmod(j, 2)
     if r == 2:
         if eps == 0:
             return None
-        return reps @ ctx.mult_matrix(ctx.xi, i, 2).T % p
+        return mul_mod(reps, ctx.mult_matrix(ctx.xi, i, 2).T, p)
     if r == 3:
         coeff = (-k if eps else k) % p
         if coeff == 0:
             return None
-        return coeff * (reps @ ctx.mult_matrix(ctx.xi_prime, i, 3).T) % p
+        return coeff * mul_mod(reps, ctx.mult_matrix(ctx.xi_prime, i, 3).T, p) % p
     if r == 4:
         if eps == 1:
             coeff = k % p
             if coeff == 0:
                 return None
-            if (reps @ ctx.mult_matrix(ctx.xi, i, 2).T % p).any() or (
-                reps @ ctx.mult_matrix(ctx.xi_prime, i, 3).T % p
+            if mul_mod(reps, ctx.mult_matrix(ctx.xi, i, 2).T, p).any() or mul_mod(
+                reps, ctx.mult_matrix(ctx.xi_prime, i, 3).T, p
             ).any():
                 raise EngineError(
                     "page-4 representative violates the survival conditions "
                     "(page turning is inconsistent)"
                 )
-            val = reps @ ctx.massey_map(i).T % p
+            val = mul_mod(reps, ctx.massey_map(i).T, p)
             if ctx.rng is not None:
                 # the indeterminacy xi' H^{i+1} + H^{i+2} xi, one column
                 # per nonzero product
                 indet = np.concatenate(
                     [ctx.mult_matrix(ctx.xi_prime, i + 1, 3), ctx.mult_matrix(ctx.xi, i + 2, 2)],
                     axis=1,
-                ) % p
+                )
                 indet = indet[:, indet.any(axis=0)]
                 if indet.shape[1]:
                     shift = ctx.rng.randint(0, p, size=(len(reps), indet.shape[1]))
-                    val = (val + shift @ indet.T) % p
+                    val = mul_mod(shift, indet.T, p, val)
             return coeff * val % p
         coeff = (k * (k - 1)) % p
         if coeff == 0:
             return None
-        target = ctx.mult_matrix(ctx.xi_prime, i, 3) @ reps.T % p
+        target = mul_mod(ctx.mult_matrix(ctx.xi_prime, i, 3), reps.T, p)
         m_xi = ctx.mult_matrix(ctx.xi, i + 1, 2)
         chi_prime, solved = solve_linear(m_xi, target, p)
         if not solved.all():
@@ -267,8 +275,8 @@ def _formula_value(ctx: EngineContext, r: int, i: int, j: int, reps: np.ndarray)
             ker = kernel_basis(m_xi, p)
             if ker.shape[0]:
                 shift = ctx.rng.randint(0, p, size=(len(reps), ker.shape[0]))
-                chi_prime = (chi_prime + (shift @ ker).T) % p
-        return coeff * (chi_prime.T @ ctx.mult_matrix(ctx.xi_prime, i + 1, 3).T) % p
+                chi_prime = mul_mod(ker.T, shift.T, p, chi_prime)
+        return coeff * mul_mod(chi_prime.T, ctx.mult_matrix(ctx.xi_prime, i + 1, 3).T, p) % p
     raise EngineError(f"no closed formula for d_{r}")
 
 
@@ -310,15 +318,18 @@ def check_d_squared(page: Page, diffs: dict, r: int, p: int) -> None:
         if nxt is None:
             continue
         m2 = nxt[0]
-        if m1.size and m2.size and ((m2 @ m1) % p).any():
+        if m1.size and m2.size and mul_mod(m2, m1, p).any():
             raise EngineError(f"d_{r}^2 != 0 at bidegree {(i, j)}")
 
 
 def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
-    """Homology of d_r: new cycles are preimages of boundaries, new
-    boundaries accumulate the incoming images.  A cell whose outgoing and
-    incoming page matrices are both zero is carried over unchanged:
-    subquotient_of would rebuild it from the same spans, identically."""
+    """Homology of d_r, cell by cell.  The new cycles are the boundaries
+    plus the combinations of representatives in the kernel of the outgoing
+    page matrix (one exact product); the new boundaries add the incoming
+    image rows.  subquotient_of echelonizes both spans and checks B <= Z by
+    one exact product.  A cell whose outgoing and incoming page matrices
+    are both zero is carried over unchanged: subquotient_of would rebuild
+    it from the same spans, identically."""
     r = page.r
     p = ctx.p
     check_d_squared(page, diffs, r, p)
@@ -331,7 +342,7 @@ def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
             continue
         cycles = cell.quotient_reps
         if out is not None:
-            cycles = kernel_basis(out[0], p) @ cycles % p
+            cycles = mul_mod(kernel_basis(out[0], p), cycles, p)
         boundaries = cell.boundary_basis
         if inc is not None:
             boundaries = np.concatenate([boundaries, inc[1]])
@@ -379,7 +390,7 @@ def apply_overrides(
         _check_override_well_defined(r, (i, j), tgt, aug, v_mat)
         # x is zero on the representatives outside sources + boundaries
         x, _ = solve_linear(aug, cell.quotient_reps.T, p)
-        out[(i, j)] = _page_block(r, (i, j), tgt, (v_mat @ x[: s_mat.shape[1]]).T % p)
+        out[(i, j)] = _page_block(r, (i, j), tgt, mul_mod(v_mat, x[: s_mat.shape[1]], p).T)
     return out
 
 
@@ -405,7 +416,7 @@ def _check_override_well_defined(r, ij, tgt: Subquotient, aug, v_mat):
     """Kernel directions of [sources | boundaries] must carry values into
     the target boundaries, otherwise the override file is inconsistent."""
     heads = kernel_basis(aug, tgt.p)[:, : v_mat.shape[1]]
-    mat, _ = _page_block(r, ij, tgt, heads @ v_mat.T % tgt.p)
+    mat, _ = _page_block(r, ij, tgt, mul_mod(heads, v_mat.T, tgt.p))
     if mat.any():
         raise EngineError("override differential is not well defined on the page")
 

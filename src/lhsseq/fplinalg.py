@@ -16,7 +16,7 @@ rows keep their original order, so the (row, column) pivot pairs are
 the rank profile matrix (Dumas, Pernet and Sultan, ISSAC 2015): the rank
 of every leading submatrix A[:a, :b] is the number of pairs inside it.
 
-Exactness bound.  ``_mul_add`` does every float64 product, with the
+Exactness bound.  ``mul_mod`` does every float64 product, with the
 mod-p reduction delayed: a sum of k products of residues plus one
 residue is at most k(p-1)^2 + (p-1), exact below 2^53.  It cuts the
 inner dimension into chunks that keep that sum plus p (the reduction's
@@ -24,11 +24,11 @@ quotient may be one too large) below 2^53, and refuses p > MAX_PRIME =
 2^26, where a chunk would hold a single product.
 
 Crossover.  Under 2^17 entries or 129 columns, one panel: the plain
-loop.  On a 2-core x86 box with one BLAS thread, the 1,145 eliminations
-of 8,192+ entries in the two ``sseq`` benchmark runs (at most 528 x 276,
-median density 0.7%) took 1.3 s, or 1.6-1.7 s at 2^14; the order-125
-minimal resolution to degree 5 (p = 5, up to 998 x 875) took 1.3-1.4 s
-with panels and 7.2 s without.
+loop.  On a 2-core x86 box with one BLAS thread, the 259 eliminations
+of 8,192+ entries in the two ``sseq`` benchmark runs (at most 276 x 276,
+median density 0.5%) took 0.19-0.20 s, or 0.24-0.27 s at 2^14; the
+order-125 minimal resolution to degree 5 (p = 5, up to 998 x 875) took
+1.3-1.4 s with panels and 7.2 s without.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "MAX_PRIME",
     "check_budget",
     "LinAlgError",
+    "mul_mod",
     "rank",
     "rank_profile",
     "kernel_basis",
@@ -50,7 +51,6 @@ __all__ = [
     "subquotient_of",
     "Subquotient",
     "rref",
-    "row_space",
 ]
 
 # Panels of _PANEL columns for eliminations with at least
@@ -108,11 +108,21 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _mul_add(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray) -> np.ndarray:
-    """(c + a @ b) mod p as int64, exactly, for residue matrices a, b, c."""
+def mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) -> np.ndarray:
+    """(c + a @ b) mod p as int64, exactly; c defaults to zero.
+
+    Precondition: a, b and c hold residues in [0, p) (reduce them first).
+    The products run in float64 BLAS with the reduction delayed: a sum of
+    k products plus c is at most k(p-1)^2 + (p-1), so the inner dimension
+    is cut into chunks that keep it plus p below 2^53.  Raises LinAlgError
+    for p > MAX_PRIME = 2^26, where a chunk would hold a single product.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    acc = np.asarray(c, dtype=np.float64)
+    if c is None:
+        acc = np.zeros((a.shape[0], b.shape[1]))
+    else:
+        acc = np.asarray(c, dtype=np.float64)
     step = _chunk(p)
     for s in range(0, a.shape[1], step):
         prod = a[:, s : s + step] @ b[s : s + step]
@@ -179,7 +189,7 @@ def _update_deferred(a, panel, rows, cols, stale, c0, c1, p) -> None:
     if top.size and not np.array_equal(coef[rows], np.eye(k, dtype=np.int64)):
         aug = np.concatenate([coef[rows], np.eye(k, dtype=np.int64)], axis=1)
         inv_rows, _ = _eliminate(aug, p)
-        top = _mul_add(aug[inv_rows, k:], top, p, np.zeros_like(top))
+        top = mul_mod(aug[inv_rows, k:], top, p)
     a[rows, c1:] = top
     coef[rows] = 0
     hit = np.flatnonzero(coef.any(axis=1))
@@ -188,7 +198,7 @@ def _update_deferred(a, panel, rows, cols, stale, c0, c1, p) -> None:
     for group, start in ((hit[stale[hit]], c0), (hit[~stale[hit]], c1)):
         for s in range(0, group.size, slab):
             r = group[s : s + slab]
-            a[r, start:] = _mul_add(coef[r], neg[:, start - c0 :], p, a[r, start:])
+            a[r, start:] = mul_mod(coef[r], neg[:, start - c0 :], p, a[r, start:])
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -212,11 +222,6 @@ def rank_profile(m: np.ndarray, p: int) -> list[tuple[int, int]]:
     np.remainder(a, p, out=a)
     rows, cols = _eliminate(a, p)
     return list(zip(rows, cols))
-
-
-def row_space(m: np.ndarray, p: int) -> np.ndarray:
-    """Canonical (rref) basis of the row space of m."""
-    return rref(m, p)[0]
 
 
 def rank(m: np.ndarray, p: int) -> int:
@@ -305,10 +310,11 @@ class Subquotient:
         # Representatives vanish on the boundary pivot columns, so the
         # boundary coefficients are v at those columns and the class
         # coordinates follow by one back-substitution.
+        p = self.p
         b = self.boundary_basis
         c_b = v[:, self._b_pivots]
-        c_r = (v[:, self._r_pivots] - c_b @ b[:, self._r_pivots]) % self.p
-        if ((v - c_b @ b - c_r @ self.quotient_reps) % self.p).any():
+        c_r = (v[:, self._r_pivots] - mul_mod(c_b, b[:, self._r_pivots], p)) % p
+        if (mul_mod(c_r, self.quotient_reps, p, mul_mod(c_b, b, p)) != v).any():
             raise LinAlgError("vector is not a cycle (not in the cycle span)")
         return c_r if block else c_r[0]
 
@@ -325,17 +331,19 @@ def subquotient_of(cycles, boundaries, ambient_dim: int, p: int) -> Subquotient:
     bnd = _as_array(boundaries, p, cols=ambient_dim) if len(boundaries) else np.zeros(
         (0, ambient_dim), dtype=np.int64
     )
-    cyc_ech = row_space(cyc, p)
+    cyc_ech, z_pivots = rref(cyc, p)
     bnd_ech, b_pivots = rref(bnd, p)
-    both = np.concatenate([cyc_ech, bnd_ech], axis=0)
-    if len(rref(both, p)[1]) != cyc_ech.shape[0]:
+    # cyc_ech is the identity on its pivot columns, so a boundary row lies
+    # in the cycle span exactly when it equals its pivot-column entries
+    # times cyc_ech
+    if (mul_mod(bnd_ech[:, z_pivots], cyc_ech, p) != bnd_ech).any():
         raise LinAlgError("boundaries are not contained in the span of the cycles")
     # Kill the boundary pivot columns in the cycles, then echelonize what
     # is left: the surviving rows are canonical representatives of Z/B
     # whose pivot columns are disjoint from the boundary pivots.
-    reduced = cyc_ech.copy()
+    reduced = cyc_ech
     if b_pivots:
-        reduced = _mul_add((-reduced[:, b_pivots]) % p, bnd_ech, p, reduced)
+        reduced = mul_mod((-cyc_ech[:, b_pivots]) % p, bnd_ech, p, cyc_ech)
     reps, r_pivots = rref(reduced, p)
     return Subquotient(
         p=p,

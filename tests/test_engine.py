@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from lhsseq.engine import (
     turn_page,
 )
 from lhsseq.extensions import ExtensionSpec
+from lhsseq.fplinalg import subquotient_of
 from lhsseq.groups import AbelianPGroupSpec
 from lhsseq.parsing import parse_class, parse_e2, parse_extension_spec, parse_overrides
 
@@ -39,6 +43,17 @@ CASE_F_OVERRIDES = """
 d5 | t^2*x1*y2 - t^2*x2*y1 | x1^3*x2 - x2^3*x1 | Kudo transgression
 d5 | t^2*u*y1*y2 | u*x1^3*y2 - u*x2^3*y1 | integral Bockstein comparison, unit multiple fixed to 1
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# every extension spec in configs/ (the *_overrides.cfg files are not specs)
+CONFIG_SPECS = sorted(
+    p.stem for p in (ROOT / "configs").glob("*.cfg") if not p.stem.endswith("_overrides")
+)
+
+
+def config_spec(name: str) -> ExtensionSpec:
+    return parse_extension_spec((ROOT / "configs" / f"{name}.cfg").read_text())
 
 
 def series_for(xi_name: str, m: int, n: int) -> str:
@@ -117,6 +132,29 @@ def test_init_page_c9_quotient():
     page = init_pages(spec, 10)
     # dim H^i(C_9 + C_9) = i + 1 as well
     assert page.dim(3, 4) == 4
+
+
+@pytest.mark.parametrize("name", CONFIG_SPECS)
+def test_e2_cells_equal_the_whole_space_subquotient(name):
+    # E_2 is built without elimination; it must be exactly what
+    # subquotient_of makes of the identity with no boundaries
+    from lhsseq.engine import _init_page
+
+    ctx = EngineContext(config_spec(name), 12)
+    page = _init_page(ctx)
+    assert len(page.cells) == sum(13 - i for i in range(13) if ctx.ring.dim(i))
+    for (i, j), cell in page.cells.items():
+        d = ctx.ring.dim(i)
+        want = subquotient_of(np.eye(d, dtype=np.int64), [], d, ctx.p)
+        assert (cell.p, cell.ambient_dim, cell.dim) == (want.p, want.ambient_dim, want.dim)
+        for got_a, want_a in [
+            (cell.boundary_basis, want.boundary_basis),
+            (cell.quotient_reps, want.quotient_reps),
+        ]:
+            assert got_a.dtype == want_a.dtype and got_a.shape == want_a.shape
+            assert (got_a == want_a).all()
+        assert cell._b_pivots == want._b_pivots
+        assert cell._r_pivots == want._r_pivots
 
 
 # ---- closed differential formulas ---------------------------------------
@@ -208,6 +246,36 @@ def test_d4_rejects_a_representative_that_should_have_died():
     vec = ctx.ring.to_vector(CohoClass.y(spec.quotient, 0), 1)
     with pytest.raises(EngineError, match="survival conditions"):
         _formula_value(ctx, 4, 1, 3, vec[None])
+
+
+def test_d4_rejects_an_unsolvable_chi_prime():
+    # xi = y1*y2 kills H^1, but xi' * 1 != 0: t^2 at (0, 4) dies on page 3,
+    # and fed to d4 it has no chi' with xi chi' = xi' chi
+    ctx = EngineContext(make_spec("y1*y2", 1, 1), 10)
+    from lhsseq.engine import _formula_value
+
+    with pytest.raises(EngineError, match="no solution of xi"):
+        _formula_value(ctx, 4, 0, 4, np.ones((1, 1), dtype=np.int64))
+
+
+def test_d_squared_check_raises_on_a_nonzero_composite():
+    from lhsseq.engine import check_d_squared
+
+    one = np.ones((1, 1), dtype=np.int64)
+    diffs = {(0, 1): (one, one), (2, 0): (one, one)}
+    with pytest.raises(EngineError, match=r"d_2\^2 != 0 at bidegree \(0, 1\)"):
+        check_d_squared(None, diffs, 2, 3)
+    check_d_squared(None, {(0, 1): (one, one), (2, 0): (0 * one, one)}, 2, 3)
+
+
+def test_differential_value_off_the_target_cycles_is_rejected():
+    from lhsseq.engine import _page_block
+
+    tgt = subquotient_of([[1, 0]], [], 2, 3)
+    assert _page_block(2, (0, 1), tgt, np.array([[2, 0]]))[0].tolist() == [[2]]
+    with pytest.raises(EngineError, match="not a page-2 cycle"):
+        _page_block(2, (0, 1), tgt, np.array([[1, 1]]))
+
 
 # ---- full runs against the closed forms ---------------------------------
 
@@ -392,3 +460,26 @@ def test_trivial_quotient_runs_to_kernel_cohomology():
     result = run(spec, 12)
     # H*(C_3): one dimension in every degree
     assert result["poincare"].coefficients == [1] * 6
+
+
+# ---- page tables against a recorded fixture ------------------------------
+
+# E_2..E_5 dims tables at N=16 of every spec in configs/, recorded from an
+# earlier engine; pages 2-5 are fixed by the d2/d3/d4 formulas alone
+PAGE_TABLES = json.loads((ROOT / "tests" / "data" / "pages_e2_e5_n16.json").read_text())
+
+
+def test_page_fixture_covers_every_config():
+    assert sorted(PAGE_TABLES) == CONFIG_SPECS
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("name", CONFIG_SPECS)
+def test_pages_two_to_five_match_the_fixture(name, seed):
+    # seed None is a plain run; a seed randomizes the d4 choices, as
+    # `sseq --randomize --seed` does, and must not change any page
+    rng = None if seed is None else np.random.RandomState(seed)
+    pages = run(config_spec(name), 16, r_max=5, rng=rng)["pages"]
+    for r in range(2, 6):
+        got = {f"{i},{j}": d for (i, j), d in pages[r].dims_table().items()}
+        assert got == PAGE_TABLES[name][str(r)], (name, r)

@@ -5,9 +5,9 @@ import pytest
 
 from lhsseq.fplinalg import (
     LinAlgError,
-    _mul_add,
     _reduce,
     kernel_basis,
+    mul_mod,
     rank,
     rank_profile,
     rref,
@@ -205,14 +205,14 @@ def test_float_product_splits_its_inner_dimension():
          for j in range(3)]
         for i in range(3)
     ]
-    assert _mul_add(a, b, p, c).tolist() == want
+    assert mul_mod(a, b, p, c).tolist() == want
 
 
 def test_float_product_refuses_p_past_two_to_the_26():
     ok = np.ones((2, 2), dtype=np.int64)
-    assert _mul_add(ok, ok, 67108859, ok).tolist() == [[3, 3], [3, 3]]
+    assert mul_mod(ok, ok, 67108859, ok).tolist() == [[3, 3], [3, 3]]
     with pytest.raises(LinAlgError):
-        _mul_add(ok, ok, 67108879, ok)
+        mul_mod(ok, ok, 67108879, ok)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 2097143])

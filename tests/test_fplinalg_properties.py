@@ -1,4 +1,5 @@
-"""Property tests of the F_p elimination kernel against a plain reference.
+"""Property tests of the F_p elimination kernel and of `Subquotient`
+against plain references.
 
 Matrices are drawn as (shape, rank, density, seed) and built with numpy,
 so shapes reach past the 2^17-entry crossover where `rref` switches to
@@ -7,10 +8,20 @@ same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhsseq.fplinalg import kernel_basis, rank, rank_profile, rref, solve_linear
+from lhsseq.fplinalg import (
+    LinAlgError,
+    kernel_basis,
+    mul_mod,
+    rank,
+    rank_profile,
+    rref,
+    solve_linear,
+    subquotient_of,
+)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -145,3 +156,83 @@ def test_block_solve_equals_one_column_solves(case, kinds, seed):
         want = solve_linear(m, t[:, c], p)
         assert bool(consistent[c]) == (want is not None)
         assert (x[:, c] == (0 if want is None else want)).all()
+
+
+# ---- Subquotient laws ------------------------------------------------------
+
+# p = 67108859 is the largest prime below MAX_PRIME = 2^26, where an exact
+# float64 product holds two terms per chunk
+SQ_PRIMES = st.sampled_from([2, 3, 5, 67108859])
+# (cycle rows, ambient): small, or a cycle matrix past 2^17 entries
+SQ_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    st.tuples(st.integers(363, 380), st.integers(362, 370)),
+)
+SQ_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _random(rng, p, shape):
+    """Residues in [0, p) of any shape, p up to 2^26."""
+    return rng.randint(0, p, size=shape, dtype=np.int64)
+
+
+@st.composite
+def subquotients(draw, stray=False):
+    """(Z, B, p, rng): Z of bounded rank, B combinations of Z rows.  With
+    stray, Z has rank below the ambient dimension, B at least one row, and
+    sometimes a random vector is added to B's last row."""
+    p = draw(SQ_PRIMES)
+    rows, n = draw(SQ_SHAPES)
+    k = draw(st.integers(0, max(0, min(rows, n - stray))))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    z = mul_mod(_random(rng, p, (rows, k)), _random(rng, p, (k, n)), p)
+    b = mul_mod(_random(rng, p, (draw(st.integers(int(stray), 8)), rows)), z, p)
+    if stray and b.shape[0] and n and draw(st.booleans()):
+        b[-1] = (b[-1] + _random(rng, p, n)) % p
+    return z, b, p, rng
+
+
+def _exact(m):
+    """Python-int copy: products cannot overflow."""
+    return np.asarray(m, dtype=np.int64).astype(object)
+
+
+@SQ_SETTINGS
+@given(subquotients())
+def test_subquotient_reduce_is_the_coordinate_map(case):
+    z, b, p, rng = case
+    n = z.shape[1]
+    sq = subquotient_of(z, b, n, p)
+    assert sq.dim == rank(z, p) - rank(b, p)
+    # representatives have coordinates e_k, boundaries coordinate 0
+    assert (sq.reduce(sq.quotient_reps) == np.eye(sq.dim, dtype=np.int64)).all()
+    assert sq.reduce(sq.boundary_basis).shape == (sq.boundary_basis.shape[0], sq.dim)
+    assert not sq.reduce(sq.boundary_basis).any()
+    assert not sq.reduce(b).any()
+    # cycles, as combinations of the rows of Z
+    v1 = mul_mod(_random(rng, p, (3, z.shape[0])), z, p)
+    v2 = mul_mod(_random(rng, p, (3, z.shape[0])), z, p)
+    a = int(rng.randint(0, p))
+    c1, c2 = sq.reduce(v1), sq.reduce(v2)
+    both = sq.reduce((a * _exact(v1) + _exact(v2)) % p)
+    assert (both == (a * _exact(c1) + _exact(c2)) % p).all()
+    # the coordinates against the definition, in Python ints: v is its
+    # boundary part (v on the boundary pivots) plus c_r times the reps
+    c_b = _exact(v1)[:, sq._b_pivots]
+    residual = (_exact(v1) - c_b.dot(_exact(sq.boundary_basis))
+                - _exact(c1).dot(_exact(sq.quotient_reps))) % p
+    assert not residual.any()
+
+
+@SQ_SETTINGS
+@given(subquotients(stray=True))
+def test_subquotient_of_raises_exactly_when_b_leaves_z(case):
+    z, b, p, _ = case
+    n = z.shape[1]
+    escapes = rank(np.concatenate([z, b]), p) > rank(z, p)
+    if escapes:
+        with pytest.raises(LinAlgError, match="not contained"):
+            subquotient_of(z, b, n, p)
+    else:
+        sq = subquotient_of(z, b, n, p)
+        assert sq.dim == rank(z, p) - rank(b, p)
