@@ -158,21 +158,19 @@ def cmd_compare(args) -> int:
     oracle = double_complex_ss(spec, deg, r_max=args.r_max, budget=args.budget)
     gdims = oracle.cohomology_dims
     verdicts = {}
-    detail = []
-    pages_ok = True
+    mismatches = []  # every differing (r, i, j), sorted
     for r in range(2, args.r_max + 1):
         etab = {
             k: v for k, v in engine["pages"][r].dims_table().items() if sum(k) <= deg
         }
         otab = {k: v for k, v in oracle.tables.get(r, {}).items() if sum(k) <= deg}
-        if etab != otab:
-            pages_ok = False
-            for k in sorted(set(etab) | set(otab)):
-                if etab.get(k, 0) != otab.get(k, 0):
-                    detail.append(
-                        f"page {r} at {k}: engine {etab.get(k, 0)}, oracle {otab.get(k, 0)}"
-                    )
-    verdicts["pages_engine_vs_oracle"] = "match" if pages_ok else f"mismatch({detail[:5]})"
+        for i, j in sorted(set(etab) | set(otab)):
+            if etab.get((i, j), 0) != otab.get((i, j), 0):
+                mismatches.append({"r": r, "i": i, "j": j, "engine": etab.get((i, j), 0),
+                                   "oracle": otab.get((i, j), 0)})
+    detail = [f"page {m['r']} at {(m['i'], m['j'])}: engine {m['engine']}, oracle {m['oracle']}"
+              for m in mismatches[:5]]
+    verdicts["pages_engine_vs_oracle"] = f"mismatch({detail})" if mismatches else "match"
     einf = oracle.total_dims(args.r_max, deg)
     verdicts["oracle_einf_vs_group_cohomology"] = (
         "match" if einf == gdims else f"mismatch(oracle {einf} vs dims {gdims})"
@@ -193,6 +191,8 @@ def cmd_compare(args) -> int:
         "verdicts": verdicts,
         "cohomology_dims": gdims,
     }
+    if mismatches:
+        report["page_mismatches"] = mismatches
     for name, verdict in verdicts.items():
         print(f"{name}: {verdict}")
     print(f"[{time.time() - t0:.2f}s]")

@@ -106,6 +106,29 @@ def test_compare_subcommand_matches(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert all(v == "match" for v in report["verdicts"].values())
+    assert "page_mismatches" not in report
+
+
+@pytest.mark.slow
+def test_compare_rank3_to_degree_seven_at_the_default_budget(tmp_path):
+    # the small oracle reaches degree 7 on the order-81 spec (the dense double
+    # complex needed a 242M-entry D_7 there); the engine's pages are known to
+    # differ, so only the oracle's verdict and the mismatch list are checked
+    out = tmp_path / "cmp.json"
+    spec = CONFIGS.parent / "perfbench" / "specs" / "rank3_order81.cfg"
+    t0 = time.monotonic()
+    main(["compare", "--spec", str(spec), "--max-degree", "7", "--out", str(out)])
+    assert time.monotonic() - t0 < 20
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["oracle_einf_vs_group_cohomology"] == "match"
+    mismatches = report["page_mismatches"]
+    keys = [(m["r"], m["i"], m["j"]) for m in mismatches]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(m["engine"] != m["oracle"] for m in mismatches)
+    first = [f"page {r} at {(i, j)}" for r, i, j in keys[:5]]
+    verdict = report["verdicts"]["pages_engine_vs_oracle"]
+    assert verdict.startswith("mismatch(") and all(f in verdict for f in first)
+    assert verdict.count("page ") == min(5, len(keys))
 
 
 def test_massey_subcommand(capsys):

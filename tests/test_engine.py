@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lhsseq.cohomology import CohoClass, cup
+from lhsseq.cohomology import CohoClass, RingContext, cup
 from lhsseq.engine import (
     DifferentialOverride,
     EngineContext,
@@ -483,3 +483,25 @@ def test_pages_two_to_five_match_the_fixture(name, seed):
     for r in range(2, 6):
         got = {f"{i},{j}": d for (i, j), d in pages[r].dims_table().items()}
         assert got == PAGE_TABLES[name][str(r)], (name, r)
+
+
+# ---- engine invariants ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("name", CONFIG_SPECS)
+def test_page_totals_never_increase_and_e2_rows_are_the_ring(name, seed):
+    # E_2^{i,j} = H^i(G) (x) H^j(C_3), one copy of H^i(G) in every row j; each
+    # page is a subquotient of the one before, so no total degree grows
+    spec = config_spec(name)
+    overrides_file = ROOT / "configs" / f"{name}_overrides.cfg"
+    ovs = parse_overrides(overrides_file.read_text(), spec) if overrides_file.exists() else []
+    rng = None if seed is None else np.random.RandomState(seed)
+    N = 16
+    pages = run(spec, N, overrides=ovs, rng=rng)["pages"]
+    ring = RingContext(spec.quotient)
+    assert {(i, j): pages[2].dim(i, j) for i in range(N + 1) for j in range(N + 1 - i)} == {
+        (i, j): ring.dim(i) for i in range(N + 1) for j in range(N + 1 - i)}
+    for r in range(2, max(pages)):
+        before, after = pages[r].total_dims(N), pages[r + 1].total_dims(N)
+        assert all(b >= a for b, a in zip(before, after)), (r, before, after)

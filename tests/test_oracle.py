@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,17 +8,21 @@ from lhsseq import oracle as oracle_module
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.engine import expand_rational, poly_mul, run
 from lhsseq.extensions import ExtensionSpec, build_extension_group
-from lhsseq.fplinalg import BudgetExceeded
+from lhsseq.fplinalg import DEFAULT_BUDGET, BudgetExceeded, LinAlgError
 from lhsseq.groups import AbelianPGroupSpec, FiniteGroupTable, GroupError, cyclic_group
 from lhsseq.oracle import (
+    _HomDoubleComplex,
     cohomology_dims,
     double_complex_ss,
     euler_telescope,
+    filtration_pages,
     minimal_resolution,
 )
 from lhsseq.parsing import parse_extension_spec
 
 C3C3 = AbelianPGroupSpec(3, (1, 1))
+ROOT = Path(__file__).resolve().parents[1]
+RANK3 = '{p: 3, kernel_m: 1, quotient: [1, 1, 1], xi: "y1*y2 + x3"}'
 
 
 def ext_spec(xi_text_cls):
@@ -155,12 +162,207 @@ def test_minimal_resolution_budget():
 
 
 def test_double_complex_budget_before_any_rank_profile(monkeypatch):
-    # the order-81 extension of C3^3: D_6 (103M entries) fits the default
-    # budget, D_7 does not, and it is refused before any rank profile
+    # the order-81 extension of C3^3 to degree 7 fits the default budget;
+    # its largest array is the kernel translates of d_7 in the minimal
+    # resolution of E (1,301,751 entries), refused before any rank profile
     def no_profile(*args):
         raise AssertionError("rank profile taken before the budget check")
 
     monkeypatch.setattr(oracle_module, "rank_profile", no_profile)
-    spec = parse_extension_spec('{p: 3, kernel_m: 1, quotient: [1, 1, 1], xi: "y1*y2 + x3"}')
-    with pytest.raises(BudgetExceeded, match="D_7 needs 241,724,736 entries"):
-        double_complex_ss(spec, 7)
+    spec = parse_extension_spec(RANK3)
+    with pytest.raises(BudgetExceeded, match="kernel of d_7 needs 1,301,751 entries"):
+        double_complex_ss(spec, 7, budget=1_301_750)
+
+
+def test_contraction_arrays_are_budgeted(monkeypatch):
+    # every array the contraction builds is checked before it is built:
+    # one entry under the largest refuses it, the largest itself passes
+    cx = _HomDoubleComplex(ext_spec(y1y2()), 6, DEFAULT_BUDGET)
+    seen = []
+    real = oracle_module.check_budget
+
+    def record(entries, budget, what):
+        seen.append((entries, what))
+        real(entries, budget, what)
+
+    monkeypatch.setattr(oracle_module, "check_budget", record)
+    oracle_module._small_complex(cx, 5, DEFAULT_BUDGET)
+    largest, what = max(seen)
+    assert {w.split(" ")[1] for _, w in seen} >= {"base", "coordinate", "adjoint",
+                                                  "cochain", "total"}
+    monkeypatch.setattr(oracle_module, "check_budget", real)
+    with pytest.raises(BudgetExceeded, match=re.escape(f"{what} needs {largest:,} entries")):
+        oracle_module._small_complex(cx, 5, largest - 1)
+    oracle_module._small_complex(cx, 5, largest)
+
+
+# -- the small oracle against the dense total differential ------------------
+
+
+def dense_total(cx: _HomDoubleComplex, n: int) -> np.ndarray:
+    """The dense total differential T^n -> T^{n+1} of Hom_E(P_i (x) Q_j, F_p),
+    |G| a_i b_j cochains per bidegree, in blocks by ascending i."""
+    c_off = np.cumsum([0] + [cx.dim(i, n - i) for i in range(n + 1)])
+    r_off = np.cumsum([0] + [cx.dim(i, n + 1 - i) for i in range(n + 2)])
+    dn = np.zeros((r_off[-1], c_off[-1]), dtype=np.int64)
+    for i in range(n + 1):
+        cols = slice(c_off[i], c_off[i + 1])
+        dn[r_off[i] : r_off[i + 1], cols] = cx.d0_block(i, n - i)
+        dn[r_off[i + 1] : r_off[i + 2], cols] = cx.d1_block(i, n - i)
+    return dn
+
+
+def dense_pages(spec: ExtensionSpec, deg: int, r_max: int = 7) -> dict:
+    """Page tables from the rank profiles of the dense total differential: the
+    reference the small oracle must equal."""
+    cx = _HomDoubleComplex(spec, deg + 1, DEFAULT_BUDGET)
+    dims = {(i, j): cx.dim(i, j) for i in range(deg + 2) for j in range(deg + 2 - i)}
+    total = {n: dense_total(cx, n) for n in range(deg + 1)}
+    return filtration_pages(dims, total, deg, r_max, spec.p)
+
+
+CONFIG_SPECS = sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")
+                      if not p.stem.endswith("_overrides"))
+SMALL_ORACLE_CASES = (
+    [pytest.param((ROOT / "configs" / f"{name}.cfg").read_text(), 6, id=name,
+                  marks=[pytest.mark.slow] if name == "case_e_9x3" else [])
+     for name in CONFIG_SPECS]
+    + [pytest.param(RANK3, 5, id="rank3_order81", marks=pytest.mark.slow),
+       pytest.param((ROOT / "perfbench" / "specs" / "extraspecial_125.cfg").read_text(), 3,
+                    id="extraspecial_125"),
+       pytest.param('{p: 2, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}', 6, id="p2_y1y2"),
+       pytest.param('{p: 2, kernel_m: 1, quotient: [1, 1, 1], xi: "x1 + y2*y3"}', 6,
+                    id="p2_x1_y2y3")]
+)
+
+
+@pytest.mark.parametrize("text, deg", SMALL_ORACLE_CASES)
+def test_small_oracle_pages_equal_the_dense_double_complex(text, deg):
+    spec = parse_extension_spec(text)
+    assert double_complex_ss(spec, deg).tables == dense_pages(spec, deg)
+
+
+@pytest.mark.parametrize("name", ["extraspecial_27", "split_27", "c9_x_c3"])
+def test_contraction_identities(name):
+    # checked here with plain integer products, apart from the oracle's own
+    # checks: dh + hd = 1 - iota pi (h_{j+1} K_j for j < deg), pi iota = 1,
+    # h iota = 0, pi h = 0, h h = 0; and H^j(C_3) is one-dimensional
+    spec = parse_extension_spec((ROOT / "configs" / f"{name}.cfg").read_text())
+    deg, p = 5, spec.p
+    cx = _HomDoubleComplex(spec, deg + 1, DEFAULT_BUDGET)
+    con = oracle_module._base_contraction(cx, deg, DEFAULT_BUDGET)
+    k = [cx.d0_block(0, j) for j in range(deg + 1)]
+    for j in range(deg + 1):
+        n = cx.dim(0, j)
+        iota, pi, h = con.iota[j], con.pi[j], con.h[j]
+        assert iota.shape[1] == 1
+        assert ((pi @ iota) % p == np.eye(1)).all()
+        assert not ((h @ iota) % p).any()
+        if j:
+            assert not ((con.pi[j - 1] @ h) % p).any()
+            assert not ((con.h[j - 1] @ h) % p).any()
+        if j < deg:
+            dh = k[j - 1] @ h if j else 0
+            total = (dh + con.h[j + 1] @ k[j] + iota @ pi) % p
+            assert (total == np.eye(n, dtype=np.int64)).all(), j
+
+
+def widen(m: np.ndarray, cx: _HomDoubleComplex, i: int, rows_b: int, cols_b: int) -> np.ndarray:
+    """A base map m ((|G| rows_b) x (|G| cols_b)) as the map of column i
+    that applies it along the (g, beta) axes of every alpha."""
+    a, ng = cx.a(i), cx.ng
+    w = np.einsum("xyzw,ac->xayzcw", m.reshape(ng, rows_b, ng, cols_b), np.eye(a, dtype=np.int64))
+    return w.reshape(ng * a * rows_b, ng * a * cols_b)
+
+
+def test_column_blocks_are_the_base_maps():
+    # what the contraction relies on: d0 at column i is (-1)^i K_j along the
+    # (g, beta) axes and d1 is the adjoint of d^P along the (g, alpha) axes
+    cx = _HomDoubleComplex(ext_spec(y1y2()), 4, DEFAULT_BUDGET)
+    p = cx.p
+    for i in range(3):
+        for j in range(3):
+            b, b1 = cx.b(j), cx.b(j + 1)
+            want = widen(cx.d0_block(0, j), cx, i, b1, b)
+            assert (cx.d0_block(i, j) % p == ((-1) ** i * want) % p).all(), (i, j)
+            want1 = np.einsum("xy,bc->xbyc", cx.p_adjoint(i), np.eye(b, dtype=np.int64))
+            assert (cx.d1_block(i, j) == want1.reshape(cx.dim(i + 1, j), cx.dim(i, j))).all()
+
+
+def test_perturbed_differential_squares_to_zero():
+    spec = parse_extension_spec(RANK3)
+    deg = 5
+    cx = _HomDoubleComplex(spec, deg + 1, DEFAULT_BUDGET)
+    dims, total = oracle_module._small_complex(cx, deg, DEFAULT_BUDGET)
+    # a_i dim H^j(C_3) = a_i cochains in bidegree (i, j)
+    assert dims == {(i, j): cx.a(i) for i in range(deg + 2) for j in range(deg + 2 - i)
+                    if (i, j) != (0, deg + 1)}
+    for n in range(deg):
+        assert not ((total[n + 1] @ total[n]) % spec.p).any(), n
+    # every term of d_H raises i: no block on or below the diagonal
+    for n in range(deg + 1):
+        rows = np.cumsum([0] + [dims.get((i, n + 1 - i), 0) for i in range(n + 2)])
+        cols = np.cumsum([0] + [dims[(i, n - i)] for i in range(n + 1)])
+        for i in range(n + 1):
+            assert not total[n][: rows[i + 1], cols[i] : cols[i + 1]].any(), (n, i)
+
+
+def test_certificate_failures_raise(monkeypatch):
+    spec = ext_spec(y1y2())
+    real_solve = oracle_module.solve_linear
+
+    def bad_solve(m, t, p):
+        x, ok = real_solve(m, t, p)
+        x[0] = (x[0] + 1) % p
+        return x, ok
+
+    monkeypatch.setattr(oracle_module, "solve_linear", bad_solve)
+    with pytest.raises(LinAlgError, match="certificate fails"):
+        double_complex_ss(spec, 4)
+    monkeypatch.setattr(oracle_module, "solve_linear", real_solve)
+
+    real_terms = oracle_module._perturbation_terms
+
+    def corrupted_terms(*args):
+        for target, block in real_terms(*args):
+            yield target, (block + 1) % spec.p
+
+    monkeypatch.setattr(oracle_module, "_perturbation_terms", corrupted_terms)
+    with pytest.raises(LinAlgError, match="d_H\\^2 = 0"):
+        double_complex_ss(spec, 4)
+
+
+@pytest.mark.parametrize("name, deg", [("extraspecial_27", 5), ("case_e_9x3", 3)])
+def test_perturbed_inclusion_is_a_chain_map(name, deg):
+    # iota' = sum_m (-1)^m (h' d1)^m iota, with h' = (-1)^i h at column i, is
+    # the perturbation lemma's comparison map (H, d_H) -> (T, d): d iota' =
+    # iota' d_H on the dense double complex.  Unlike the pages, this sees the
+    # sign of every term: d_H with (-1)^m dropped is -d_H conjugated by
+    # (-1)^i, so it has the same pages.
+    spec = parse_extension_spec((ROOT / "configs" / f"{name}.cfg").read_text())
+    p = spec.p
+    cx = _HomDoubleComplex(spec, deg + 1, DEFAULT_BUDGET)
+    con = oracle_module._base_contraction(cx, deg, DEFAULT_BUDGET)
+    dims, total = oracle_module._small_complex(cx, deg, DEFAULT_BUDGET)
+
+    def iota_prime(n):
+        rows = np.cumsum([0] + [cx.dim(i, n - i) for i in range(n + 1)])
+        cols = np.cumsum([0] + [dims[(i, n - i)] for i in range(n + 1)])
+        out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+        for i in range(n + 1):
+            j = n - i
+            nh = con.iota[j].shape[1]
+            block = np.einsum("xyz,ac->xayc", con.iota[j].reshape(cx.ng, cx.b(j), nh),
+                              np.eye(cx.a(i), dtype=np.int64)).reshape(cx.dim(i, j), -1)
+            for m in range(j + 1):
+                c = i + m
+                out[rows[c] : rows[c + 1], cols[i] : cols[i + 1]] = block
+                if m < j:
+                    h = (-1) ** (c + 1) * widen(con.h[j - m], cx, c + 1, cx.b(j - m - 1),
+                                                cx.b(j - m))
+                    block = (-h @ cx.d1_block(c, j - m) @ block) % p
+        return out
+
+    for n in range(deg):
+        left = dense_total(cx, n) @ iota_prime(n)
+        assert not ((left - iota_prime(n + 1) @ total[n]) % p).any(), n
