@@ -272,7 +272,7 @@ def _formula_value(ctx: EngineContext, r: int, i: int, j: int, reps: np.ndarray)
                 "(page turning is inconsistent)"
             )
         if ctx.rng is not None and m_xi.shape[1]:
-            ker = kernel_basis(m_xi, p)
+            ker, _ = kernel_basis(m_xi, p)
             if ker.shape[0]:
                 shift = ctx.rng.randint(0, p, size=(len(reps), ker.shape[0]))
                 chi_prime = mul_mod(ker.T, shift.T, p, chi_prime)
@@ -342,7 +342,7 @@ def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
             continue
         cycles = cell.quotient_reps
         if out is not None:
-            cycles = mul_mod(kernel_basis(out[0], p), cycles, p)
+            cycles = mul_mod(kernel_basis(out[0], p)[0], cycles, p)
         boundaries = cell.boundary_basis
         if inc is not None:
             boundaries = np.concatenate([boundaries, inc[1]])
@@ -415,7 +415,7 @@ def _check_source_survives(ctx, page: Page, ov: DifferentialOverride):
 def _check_override_well_defined(r, ij, tgt: Subquotient, aug, v_mat):
     """Kernel directions of [sources | boundaries] must carry values into
     the target boundaries, otherwise the override file is inconsistent."""
-    heads = kernel_basis(aug, tgt.p)[:, : v_mat.shape[1]]
+    heads = kernel_basis(aug, tgt.p)[0][:, : v_mat.shape[1]]
     mat, _ = _page_block(r, ij, tgt, mul_mod(heads, v_mat.T, tgt.p))
     if mat.any():
         raise EngineError("override differential is not well defined on the page")

@@ -27,8 +27,9 @@ Crossover.  Under 2^17 entries or 129 columns, one panel: the plain
 loop.  On a 2-core x86 box with one BLAS thread, the 259 eliminations
 of 8,192+ entries in the two ``sseq`` benchmark runs (at most 276 x 276,
 median density 0.5%) took 0.19-0.20 s, or 0.24-0.27 s at 2^14; the
-order-125 minimal resolution to degree 5 (p = 5, up to 998 x 875) took
-1.3-1.4 s with panels and 7.2 s without.
+order-125 minimal resolution to degree 5 (p = 5, seven eliminations past
+the crossover, from 374 x 500 to 998 x 875) took 0.96-0.99 s with panels
+and 5.0-5.1 s without.
 """
 
 from __future__ import annotations
@@ -229,11 +230,14 @@ def rank(m: np.ndarray, p: int) -> int:
     return len(rref(m, p)[1])
 
 
-def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel {v : m v = 0}, one vector per row.
+def kernel_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Basis of the right kernel {v : m v = 0}, one vector per row, and
+    its free columns (the non-pivot columns of the echelon form of m).
 
-    The basis is the canonical one read off the reduced echelon form
-    (unit entry in each free column), so the output is deterministic.
+    The basis is the canonical one read off the reduced echelon form, so
+    the output is deterministic.  It is the identity on its free columns:
+    a kernel vector v is v[free] times the basis, and the basis is its own
+    echelon basis for ``subquotient_of(..., free=free)``.
     """
     r, pivots = rref(m, p)
     n_cols = r.shape[1]
@@ -241,7 +245,7 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros((free.size, n_cols), dtype=np.int64)
     out[np.arange(free.size), free] = 1
     out[:, pivots] = (-r[:, free]).T % p
-    return out
+    return out, free.tolist()
 
 
 def solve_linear(m: np.ndarray, target, p: int):
@@ -319,11 +323,17 @@ class Subquotient:
         return c_r if block else c_r[0]
 
 
-def subquotient_of(cycles, boundaries, ambient_dim: int, p: int) -> Subquotient:
+def subquotient_of(cycles, boundaries, ambient_dim: int, p: int,
+                   free: list[int] | None = None) -> Subquotient:
     """Build Z/B from spanning sets of Z and B.
 
     Requires B <= Z; raising otherwise signals an inconsistent
-    differential upstream (a "boundary" that is not a cycle).
+    differential upstream (a "boundary" that is not a cycle).  With free,
+    the columns on which cycles is the identity (a basis and its free
+    columns from ``kernel_basis``), cycles is used as the echelon basis of
+    Z as it stands and only B and the reduced cycles are eliminated.  The
+    result is the same: quotient_reps is the RREF of Z meet {v : v = 0 on
+    the pivot columns of B}, whatever basis of Z is given.
     """
     cyc = _as_array(cycles, p, cols=ambient_dim) if len(cycles) else np.zeros(
         (0, ambient_dim), dtype=np.int64
@@ -331,10 +341,15 @@ def subquotient_of(cycles, boundaries, ambient_dim: int, p: int) -> Subquotient:
     bnd = _as_array(boundaries, p, cols=ambient_dim) if len(boundaries) else np.zeros(
         (0, ambient_dim), dtype=np.int64
     )
-    cyc_ech, z_pivots = rref(cyc, p)
+    if free is None:
+        cyc_ech, z_pivots = rref(cyc, p)
+    else:
+        if not np.array_equal(cyc[:, free], np.eye(len(free), dtype=np.int64)):
+            raise LinAlgError("cycles are not the identity on the given free columns")
+        cyc_ech, z_pivots = cyc, free
     bnd_ech, b_pivots = rref(bnd, p)
-    # cyc_ech is the identity on its pivot columns, so a boundary row lies
-    # in the cycle span exactly when it equals its pivot-column entries
+    # cyc_ech is the identity on the columns z_pivots, so a boundary row
+    # lies in the cycle span exactly when it equals its entries there
     # times cyc_ech
     if (mul_mod(bnd_ech[:, z_pivots], cyc_ech, p) != bnd_ech).any():
         raise LinAlgError("boundaries are not contained in the span of the cycles")

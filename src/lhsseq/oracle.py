@@ -5,7 +5,12 @@ Two oracles:
 * minimal free resolutions over the group algebra of the actual
   extension group, built degree by degree (new generators = kernel of
   the previous differential modulo the radical times the kernel), whose
-  ranks are the cohomology dimensions of the group;
+  ranks are the cohomology dimensions of the group.  Each degree costs
+  one elimination of a short matrix: the columns of d_{n-1} lie in the
+  kernel K_{n-1} of d_{n-2}, so ker d_{n-1} is the kernel of its rows at
+  the free columns of K_{n-1}'s kernel basis alone, and a kernel basis
+  is the identity on its free columns, so it serves as its own echelon
+  basis when the translates are checked against it and reduced;
 
 * the pages of the first-quadrant double complex T = Hom_E(P_i (x) Q_j,
   F_p), P a minimal resolution over the quotient G and Q one over the
@@ -67,7 +72,7 @@ from .extensions import ExtensionSpec, build_extension_group, extension_projecti
 # oracle.rank is not used here but stays importable: perfbench's tracer tests call it
 from .fplinalg import rank  # noqa: F401
 from .fplinalg import (DEFAULT_BUDGET, LinAlgError, check_budget, kernel_basis, mul_mod,
-                       rank_profile, rref, solve_linear, subquotient_of)
+                       rank_profile, solve_linear, subquotient_of)
 from .groups import FiniteGroupTable, GroupError, smallest_prime_factor
 from .resolutions import Resolution, abelian_minimal_resolution
 
@@ -123,9 +128,18 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
     """Minimal free resolution of F_p over F_p[group], group a p-group;
     p defaults to the smallest prime dividing the order.
 
-    At each step the kernel of the current differential is computed as an
-    F_p subspace; new free generators map onto representatives of the
-    kernel modulo (augmentation ideal) * kernel, chosen by echelon pivots.
+    At each step the kernel K_n of d_{n-1} is computed as an F_p subspace;
+    new free generators map onto representatives of K_n modulo
+    (augmentation ideal) * K_n, chosen by echelon pivots.  Two facts keep
+    this to one elimination of a short matrix per degree:
+
+    * the columns of d_{n-1} lie in K_{n-1}, and a vector of K_{n-1} is
+      fixed by its entries at the free columns of K_{n-1}'s kernel basis,
+      so K_n is the kernel of those rows of d_{n-1} alone (d_0, the
+      augmentation, has one row);
+    * a kernel basis is the identity on its free columns, so it is already
+      the echelon basis of K_n: ``subquotient_of`` checks that the
+      translates lie in K_n and reduces them against it as it stands.
     """
     if p is None:
         p = smallest_prime_factor(group.order)
@@ -135,19 +149,22 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
     gens = _generating_set(group)
     ranks = [1]
     diffs: list[np.ndarray] = []
-    current = np.ones((1, order), dtype=np.int64)  # the augmentation
-    image = 1  # rank of current: by exactness, the dimension of the kernel before it
+    image = 1  # rank of d_{n-1}: by exactness, the dimension of the kernel before it
     for n in range(1, max_degree + 1):
         n_blocks = ranks[-1]
         check_budget(len(gens) * (n_blocks * order - image) * n_blocks * order, budget,
                      f"the translates of the kernel of d_{n - 1}")
-        k = kernel_basis(current, p)
+        # ker d_{n-1} is the kernel of its rows at the free columns of the
+        # kernel before it (d_0, the augmentation, is one row); the rows are
+        # a temporary, freed before the translates are built
+        k, free = kernel_basis(
+            diffs[-1][free] if diffs else np.ones((1, order), dtype=np.int64), p)
         rad = []
         for g in gens:
             perm = _act_matrix(group, g, n_blocks)
             rad.append((k[:, perm] - k) % p)
         radk = np.concatenate(rad, axis=0) if rad else np.zeros((0, k.shape[1]), dtype=np.int64)
-        sq = subquotient_of(k, radk, k.shape[1], p)
+        sq = subquotient_of(k, radk, k.shape[1], p, free)
         reps = sq.quotient_reps
         new_rank = reps.shape[0]
         check_budget(n_blocks * new_rank * order**2, budget, f"d_{n} of the minimal resolution")
@@ -158,7 +175,7 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
             d[:, b * order : (b + 1) * order] = reps[b][perms].T
         ranks.append(new_rank)
         diffs.append(d)
-        current, image = d, k.shape[0]
+        image = k.shape[0]
     return Resolution(
         group=group,
         p=p,
@@ -304,9 +321,12 @@ def _base_contraction(cx: _HomDoubleComplex, deg: int, budget: int) -> _Contract
     prev_pivots: list[int] = []
     for j in range(deg + 1):
         check_budget(2 * n[j] ** 2, budget, f"the coordinate solve on V^{j}")
-        pivots = rref(k[j], p)[1]
+        # one elimination of K_j: its kernel basis, whose free columns the
+        # pivot columns complement
+        z, free = kernel_basis(k[j], p)
+        pivots = np.delete(np.arange(n[j]), free)
         bnd = k[j - 1][:, prev_pivots].T if j else np.zeros((0, n[j]), dtype=np.int64)
-        reps = subquotient_of(kernel_basis(k[j], p), bnd, n[j], p).quotient_reps
+        reps = subquotient_of(z, bnd, n[j], p, free).quotient_reps
         nb, nh = bnd.shape[0], reps.shape[0]
         basis = np.concatenate([bnd, reps, np.eye(n[j], dtype=np.int64)[pivots]])
         _require(basis.shape[0] == n[j], f"B + H + L of V^{j} has {basis.shape[0]} "
@@ -395,7 +415,8 @@ def _small_complex(cx: _HomDoubleComplex, deg: int, budget: int):
     adjoints = []
     for i in range(deg + 1):
         check_budget(cx.dim(i + 1, 0) * cx.dim(i, 0), budget, f"the adjoint of d^P_{i + 1}")
-        adjoints.append(cx.p_adjoint(i))
+        # residues as float64, the operand type of mul_mod, converted once
+        adjoints.append((cx.p_adjoint(i) % p).astype(np.float64))
     dims = {(i, j): cx.a(i) * con.iota[j].shape[1]
             for i in range(deg + 2) for j in range(min(deg, deg + 1 - i) + 1)}
     offsets = [np.cumsum([0] + [dims.get((i, n - i), 0) for i in range(n + 1)])

@@ -778,9 +778,9 @@ def row_zero_class_report(cx: BarDoubleComplex, ladder: LadderData) -> dict:
 
 
 def _row_cohomology_subquotient(cx: BarDoubleComplex, degree: int):
-    z = kernel_basis(bar_differential_matrix(cx, degree), cx.p)
+    z, free = kernel_basis(bar_differential_matrix(cx, degree), cx.p)
     if degree == 0:
         b = np.zeros((0, cx.ng**degree), dtype=np.int64)
     else:
         b = bar_differential_matrix(cx, degree - 1).T % cx.p
-    return subquotient_of(z, b, cx.ng**degree, cx.p)
+    return subquotient_of(z, b, cx.ng**degree, cx.p, free)

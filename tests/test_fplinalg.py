@@ -50,12 +50,13 @@ def test_rank_dependent_rows_mod5():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(np.eye(3, dtype=int), 3).shape[0] == 0
+    k, free = kernel_basis(np.eye(3, dtype=int), 3)
+    assert k.shape == (0, 3) and free == []
 
 
 def test_kernel_zero_matrix_full():
-    k = kernel_basis(np.zeros((2, 3), dtype=int), 7)
-    assert k.shape == (3, 3)
+    k, free = kernel_basis(np.zeros((2, 3), dtype=int), 7)
+    assert k.shape == (3, 3) and free == [0, 1, 2]
     assert (k == np.eye(3, dtype=int)).all()
 
 
@@ -63,8 +64,9 @@ def test_kernel_sum_vector_mod2():
     # Oracle: enumerate all 8 vectors of F_2^3.
     m = np.array([[1, 1, 1]])
     true_kernel = [v for v in itertools.product(range(2), repeat=3) if sum(v) % 2 == 0]
-    k = kernel_basis(m, 2)
-    assert k.shape[0] == 2
+    k, free = kernel_basis(m, 2)
+    assert k.shape[0] == 2 and free == [1, 2]
+    assert (k[:, free] == np.eye(2, dtype=int)).all()
     for v in k:
         assert tuple(v) in true_kernel
         assert int(v.sum()) % 2 == 0
@@ -75,7 +77,7 @@ def test_rank_plus_nullity(p):
     rng = np.random.RandomState(0)
     for _ in range(25):
         m = rng.randint(0, p, size=(rng.randint(1, 6), rng.randint(1, 6)))
-        assert rank(m, p) + kernel_basis(m, p).shape[0] == m.shape[1]
+        assert rank(m, p) + kernel_basis(m, p)[0].shape[0] == m.shape[1]
         assert rank(m, p) == brute_rank(m, p)
 
 
@@ -143,6 +145,13 @@ def test_subquotient_dim_by_rank_arithmetic():
 def test_subquotient_rejects_non_cycle_boundary():
     with pytest.raises(LinAlgError):
         subquotient_of([[1, 0, 0]], [[0, 1, 0]], 3, 3)
+
+
+def test_subquotient_refuses_free_columns_that_are_not_the_identity():
+    with pytest.raises(LinAlgError, match="not the identity"):
+        subquotient_of([[1, 2, 0]], [], 3, 3, free=[1])
+    sq = subquotient_of([[1, 2, 0]], [], 3, 3, free=[0])
+    assert (sq.quotient_reps == [[1, 2, 0]]).all()
 
 
 def test_subquotient_reduce_is_linear():
@@ -236,7 +245,8 @@ def test_blocked_rref_of_known_rank():
     r, pivots = rref(m, p)
     assert pivots == list(range(k))
     assert (r == right).all()
-    assert rank(m, p) + kernel_basis(m, p).shape[0] == 500
-    assert not ((m @ kernel_basis(m, p).T) % p).any()
+    ker, free = kernel_basis(m, p)
+    assert rank(m, p) + ker.shape[0] == 500 and free == list(range(k, 500))
+    assert not ((m @ ker.T) % p).any()
     # the first k rows are independent, so they carry every pivot
     assert rank_profile(m, p) == [(i, i) for i in range(k)]

@@ -96,9 +96,10 @@ def test_rref_is_idempotent_and_canonical_under_row_operations(case, seed):
 @given(matrices(st.one_of(SMALL, LARGE)))
 def test_rank_plus_nullity_is_the_column_count(case):
     m, p = case
-    k = kernel_basis(m, p)
+    k, free = kernel_basis(m, p)
     assert rank(m, p) + k.shape[0] == m.shape[1]
     assert not ((m @ k.T) % p).any()
+    assert (k[:, free] == np.eye(len(free), dtype=np.int64)).all()
 
 
 @SETTINGS
@@ -236,3 +237,60 @@ def test_subquotient_of_raises_exactly_when_b_leaves_z(case):
     else:
         sq = subquotient_of(z, b, n, p)
         assert sq.dim == rank(z, p) - rank(b, p)
+
+
+# (rows, ambient) of a matrix whose kernel is Z: small, or a kernel of at
+# least 360 x 420 entries, past 2^17, so every elimination takes panels
+KERNEL_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 12), st.integers(0, 30)),
+    st.tuples(st.integers(0, 60), st.integers(420, 450)),
+)
+
+
+@st.composite
+def kernels(draw):
+    """(m, B, p, rng): Z = ker m of bounded codimension, B combinations of a
+    basis of Z, and sometimes a random vector added to B's last row."""
+    p = draw(SQ_PRIMES)
+    rows, n = draw(KERNEL_SHAPES)
+    k = draw(st.integers(0, min(rows, n)))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    m = mul_mod(_random(rng, p, (rows, k)), _random(rng, p, (k, n)), p)
+    z, _ = kernel_basis(m, p)
+    b = mul_mod(_random(rng, p, (draw(st.integers(0, 12)), z.shape[0])), z, p)
+    if b.shape[0] and n and draw(st.booleans()):
+        b[-1] = (b[-1] + _random(rng, p, n)) % p
+    return m, b, p, rng
+
+
+def _subquotient_or_error(*args, **kwargs):
+    try:
+        return subquotient_of(*args, **kwargs)
+    except LinAlgError as exc:
+        return str(exc)
+
+
+@SQ_SETTINGS
+@given(kernels())
+def test_subquotient_of_a_kernel_basis_equals_the_echelonized_path(case):
+    # a kernel basis given with its free columns, the same basis without
+    # them, and a shuffled, rescaled spanning set of Z with redundant rows
+    # all give the same Subquotient, field for field
+    m, b, p, rng = case
+    n = m.shape[1]
+    z, free = kernel_basis(m, p)
+    units = rng.randint(1, p, size=(z.shape[0], 1), dtype=np.int64)
+    extra = mul_mod(_random(rng, p, (rng.randint(0, 4), z.shape[0])), z, p)
+    span = np.concatenate([mul_mod(units * np.eye(len(units), dtype=np.int64) % p, z, p),
+                           extra])[rng.permutation(z.shape[0] + extra.shape[0])]
+    got = _subquotient_or_error(z, b, n, p, free=free)
+    for other in (_subquotient_or_error(z, b, n, p), _subquotient_or_error(span, b, n, p)):
+        if isinstance(got, str):
+            assert got == other
+            continue
+        assert not isinstance(other, str), other
+        assert (got.p, got.ambient_dim, got._b_pivots, got._r_pivots) == (
+            other.p, other.ambient_dim, other._b_pivots, other._r_pivots)
+        for name in ("boundary_basis", "quotient_reps"):
+            x, y = getattr(got, name), getattr(other, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all(), name

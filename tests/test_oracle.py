@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -148,6 +149,65 @@ def test_einf_totals_equal_group_cohomology_small():
     e = build_extension_group(spec)
     assert oracle.total_dims(7, 5) == cohomology_dims(e, 5) == oracle.cohomology_dims
     assert oracle.group_order == e.order
+
+
+def _digest(res) -> str:
+    h = hashlib.sha256()
+    for d in res.differentials:
+        d = np.ascontiguousarray(d, dtype=np.int64)
+        h.update(repr(d.shape).encode())
+        h.update(d.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (shape, int64 bytes) of every differential, as computed from
+# all rows of each d_n with the kernel basis re-echelonized: the shortcuts
+# (fewer rows, the kernel basis as its own echelon form) change no entry
+RESOLUTION_DIGESTS = [
+    ("extraspecial_27", 6, "284c95c92459d65eb3b3cce07bb259fdc30c90440e614a82ed3d6e4865dfaf63"),
+    ("c3xc3", 5, "ca57bfe6fb3c619be14c5a47af076212c60c3fcc4aa64bdb28613670d75a6315"),
+    ("rank3_order81", 4, "7385a930e1dc0604cdd70d896264271c2abad7f67f93fa4bd7694a81649adb63"),
+]
+
+
+def _digest_group(name):
+    if name == "c3xc3":
+        return C3C3.group_table()
+    path = {"extraspecial_27": ROOT / "configs" / "extraspecial_27.cfg",
+            "rank3_order81": ROOT / "perfbench" / "specs" / "rank3_order81.cfg"}[name]
+    return build_extension_group(parse_extension_spec(path.read_text()))
+
+
+@pytest.mark.parametrize("name, deg, want", RESOLUTION_DIGESTS,
+                         ids=[name for name, _, _ in RESOLUTION_DIGESTS])
+def test_minimal_resolution_differentials_are_pinned(name, deg, want):
+    assert _digest(minimal_resolution(_digest_group(name), deg)) == want
+
+
+def test_extraspecial_125_dims():
+    # p = 5: the one resolution whose eliminations take the blocked panel path
+    spec = parse_extension_spec((ROOT / "perfbench" / "specs" / "extraspecial_125.cfg").read_text())
+    e = build_extension_group(spec)
+    assert e.order == 125
+    assert cohomology_dims(e, 5) == [1, 2, 4, 6, 7, 8]
+
+
+def test_translates_outside_the_kernel_raise(monkeypatch):
+    # one generator acts by a permutation that is not a module map: its
+    # translates of a kernel leave it, and the check on every degree sees it
+    g = C3C3.group_table()
+    gen = oracle_module._generating_set(g)[0]
+    real = oracle_module._act_matrix
+
+    def skewed(group, h, n_blocks):
+        perm = real(group, h, n_blocks)
+        if h == gen:
+            perm[[0, 1]] = perm[[1, 0]]
+        return perm
+
+    monkeypatch.setattr(oracle_module, "_act_matrix", skewed)
+    with pytest.raises(LinAlgError, match="boundaries are not contained in the span"):
+        minimal_resolution(g, 4)
 
 
 def test_minimal_resolution_budget():
