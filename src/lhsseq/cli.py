@@ -201,7 +201,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_massey(args) -> int:
-    group = AbelianPGroupSpec(args.p, tuple(int(x) for x in args.exponents.split(",")))
+    try:
+        exponents = tuple(int(x) for x in args.exponents.split(","))
+    except ValueError:
+        raise ParseError(
+            f"--exponents must be comma-separated integers, got {args.exponents!r}") from None
+    group = AbelianPGroupSpec(args.p, exponents)
     a = parse_class(args.a, group)
     b = parse_class(args.b, group)
     c = parse_class(args.c, group)

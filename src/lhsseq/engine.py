@@ -3,12 +3,13 @@
 Coordinates: the starting page at bidegree (i, j) is H^i(G) tensored
 with the one-dimensional row generator of the kernel (t^k for j = 2k,
 t^k u for j = 2k+1; for a kernel of order two the rows are powers of u
-with u^2 = t and the same bookkeeping applies).  Every page stores, per
-bidegree, nested cycle/boundary subspaces of that fixed coordinate
-space, so the formula differentials can always be evaluated on concrete
-representatives: each d_r is one linear map per bidegree, applied to
-the block of its quotient representatives (rows) by matrix products
-with the cached multiplication and Massey maps:
+with u^2 = t and the same bookkeeping applies).  Each later page is the
+homology of the one before, E_{r+1} = H(E_r, d_r), in E_r's coordinates.
+A cell keeps its classes' representatives in E_2 coordinates, on which
+the formulas are evaluated, and the steps through which an E_2 cycle
+reduces to its page class.  Each d_r is one page matrix per bidegree,
+built from the block of representatives (rows) by matrix products with
+the cached multiplication and Massey maps:
 
     d2(t^k u chi) = t^k xi chi                   d2(t^k chi) = 0
     d3(t^k chi)   = k t^{k-1} xi' chi            (xi' the Bockstein class)
@@ -19,8 +20,8 @@ with the cached multiplication and Massey maps:
 d4 on an even row solves xi chi' = xi' chi for the whole block at once.
 Differentials on pages five and up are zero unless supplied as
 overrides, which are extended over the page by the Leibniz rule (their
-products with surviving base-row classes), again one solve per bidegree.
-Both kinds reach turn_page as the same (page matrix, image rows) pair.
+products with surviving base-row classes), again one solve per bidegree,
+in page coordinates.  Both kinds reach turn_page as page matrices.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .fplinalg import (
 
 __all__ = [
     "EngineError",
+    "Cell",
     "Page",
     "DifferentialOverride",
     "PoincareData",
-    "init_pages",
     "differential_matrix",
     "apply_overrides",
     "turn_page",
@@ -108,13 +109,35 @@ class DifferentialOverride:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """One bidegree of a page: its classes' representatives in E_2
+    coordinates (rows), and the subquotient of each page at which it
+    changed, in the coordinates of the page before."""
+
+    reps: np.ndarray
+    steps: tuple[Subquotient, ...] = ()
+
+    @property
+    def dim(self) -> int:
+        return self.reps.shape[0]
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Page coordinates of E_2 vectors (residues; rows for a block) that
+        are cycles of every page so far.  Raises LinAlgError for any that is
+        not."""
+        for step in self.steps:
+            v = step.reduce(v)
+        return v
+
+
 @dataclass
 class Page:
     """One page of the spectral sequence, truncated at total degree N."""
 
     r: int
     N: int
-    cells: dict[tuple[int, int], Subquotient]
+    cells: dict[tuple[int, int], Cell]
     valid_through: int
 
     def dim(self, i: int, j: int) -> int:
@@ -189,29 +212,17 @@ class EngineContext:
         return self._mult[key]
 
 
-def init_pages(spec: ExtensionSpec, N: int, r_max: int = DEFAULT_R_MAX) -> Page:
-    """The starting page: full cycle spaces, no boundaries."""
-    ctx = EngineContext(spec, N, r_max)
-    return _init_page(ctx)
-
-
 def _init_page(ctx: EngineContext) -> Page:
-    """Every cell is its whole coordinate space: the identity is already
-    the canonical echelon basis, so no elimination is needed."""
+    """The starting page: every cell is its whole coordinate space, its
+    classes the unit vectors."""
     cells = {}
     for i in range(ctx.N + 1):
         dim = ctx.ring.dim(i)
         if dim == 0:
             continue
+        e2 = Cell(np.eye(dim, dtype=np.int64))
         for j in range(ctx.N + 1 - i):
-            cells[(i, j)] = Subquotient(
-                p=ctx.p,
-                ambient_dim=dim,
-                boundary_basis=np.zeros((0, dim), dtype=np.int64),
-                quotient_reps=np.eye(dim, dtype=np.int64),
-                _b_pivots=[],
-                _r_pivots=list(range(dim)),
-            )
+            cells[(i, j)] = e2
     return Page(r=2, N=ctx.N, cells=cells, valid_through=ctx.N - ctx.r_max)
 
 
@@ -280,22 +291,20 @@ def _formula_value(ctx: EngineContext, r: int, i: int, j: int, reps: np.ndarray)
     raise EngineError(f"no closed formula for d_{r}")
 
 
-def _page_block(r: int, ij: tuple[int, int], tgt: Subquotient, images: np.ndarray):
-    """(page matrix, image rows) of d_r on bidegree ij, from the images of
-    its representatives as rows in the target's ambient coordinates."""
+def _page_block(r: int, ij: tuple[int, int], cell: Cell, rows: np.ndarray,
+                what: str = "value") -> np.ndarray:
+    """Page coordinates, as columns, of E_2 rows that must be page-r cycles
+    of cell: the page matrix of d_r on ij when the rows are the images of
+    its source representatives."""
     try:
-        return tgt.reduce(images).T, images
+        return cell.reduce(rows).T
     except LinAlgError as exc:
-        raise EngineError(f"d_{r} value at {ij} is not a page-{r} cycle: {exc}") from exc
+        raise EngineError(f"d_{r} {what} at {ij} is not a page-{r} cycle: {exc}") from exc
 
 
 def differential_matrix(ctx: EngineContext, page: Page, r: int):
-    """Per-bidegree d_r data: {(i, j): (page matrix, image rows)}.
-
-    The page matrix maps source page coordinates to target page
-    coordinates; image row k is the image of quotient representative k
-    in ambient V coordinates.
-    """
+    """Per-bidegree d_r: {(i, j): page matrix}, mapping source page
+    coordinates to target page coordinates."""
     if r != page.r:
         raise EngineError(f"page is at r={page.r}, asked for d_{r}")
     out = {}
@@ -305,62 +314,54 @@ def differential_matrix(ctx: EngineContext, page: Page, r: int):
             # missing target: either a negative row (formulas vanish there)
             # or beyond the truncation, where valid_through already rules
             continue
-        images = _formula_value(ctx, r, i, j, cell.quotient_reps)
-        if images is None:
-            images = np.zeros((cell.dim, tgt.ambient_dim), dtype=np.int64)
-        out[(i, j)] = _page_block(r, (i, j), tgt, images)
+        images = _formula_value(ctx, r, i, j, cell.reps)
+        out[(i, j)] = (np.zeros((tgt.dim, cell.dim), dtype=np.int64) if images is None
+                       else _page_block(r, (i, j), tgt, images))
     return out
 
 
-def check_d_squared(page: Page, diffs: dict, r: int, p: int) -> None:
-    for (i, j), (m1, _) in diffs.items():
-        nxt = diffs.get((i + r, j - r + 1))
-        if nxt is None:
-            continue
-        m2 = nxt[0]
-        if m1.size and m2.size and mul_mod(m2, m1, p).any():
+def check_d_squared(diffs: dict, r: int, p: int) -> None:
+    for (i, j), m1 in diffs.items():
+        m2 = diffs.get((i + r, j - r + 1))
+        if m2 is not None and m1.size and m2.size and mul_mod(m2, m1, p).any():
             raise EngineError(f"d_{r}^2 != 0 at bidegree {(i, j)}")
 
 
 def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
-    """Homology of d_r, cell by cell.  The new cycles are the boundaries
-    plus the combinations of representatives in the kernel of the outgoing
-    page matrix (one exact product); the new boundaries add the incoming
-    image rows.  subquotient_of echelonizes both spans and checks B <= Z by
-    one exact product.  A cell whose outgoing and incoming page matrices
-    are both zero is carried over unchanged: subquotient_of would rebuild
-    it from the same spans, identically."""
+    """E_{r+1} = H(E_r, d_r), cell by cell, in page-r coordinates.
+
+    A changed cell takes one step, the subquotient of F_p^dim with cycles
+    the kernel of the outgoing page matrix (a missing one is the kernel of
+    a 0-row matrix) and boundaries the columns of the incoming one; its
+    quotient representatives times the old ones are the new ones.  A cell
+    whose page matrices are both zero is carried over unchanged."""
     r = page.r
     p = ctx.p
-    check_d_squared(page, diffs, r, p)
+    check_d_squared(diffs, r, p)
     new_cells = {}
     for (i, j), cell in page.cells.items():
         out = diffs.get((i, j))
         inc = diffs.get((i - r, j + r - 1))
-        if all(d is None or not d[0].any() for d in (out, inc)):
+        if all(d is None or not d.any() for d in (out, inc)):
             new_cells[(i, j)] = cell
             continue
-        cycles = cell.quotient_reps
-        if out is not None:
-            cycles = mul_mod(kernel_basis(out[0], p)[0], cycles, p)
-        boundaries = cell.boundary_basis
-        if inc is not None:
-            boundaries = np.concatenate([boundaries, inc[1]])
-        new_cells[(i, j)] = subquotient_of(
-            np.concatenate([cell.boundary_basis, cycles]), boundaries, cell.ambient_dim, p
-        )
+        if out is None:  # the kernel of a 0-row matrix
+            cycles, free = np.eye(cell.dim, dtype=np.int64), list(range(cell.dim))
+        else:
+            cycles, free = kernel_basis(out, p)
+        boundaries = np.zeros((0, cell.dim), dtype=np.int64) if inc is None else inc.T
+        step = subquotient_of(cycles, boundaries, cell.dim, p, free)
+        new_cells[(i, j)] = Cell(mul_mod(step.quotient_reps, cell.reps, p), cell.steps + (step,))
     return Page(r=r + 1, N=page.N, cells=new_cells, valid_through=page.valid_through)
 
 
-def apply_overrides(
-    ctx: EngineContext, page: Page, overrides: list[DifferentialOverride]
-):
+def apply_overrides(ctx: EngineContext, page: Page, overrides: list[DifferentialOverride]):
     """Differential on page r from overrides, extended by Leibniz.
 
-    Each override contributes the subspace {source * rho} with rho a
-    surviving base-row class; a page class decomposes (modulo boundaries)
-    over those subspaces and maps to the matching combination of
-    value * rho, and to zero off them.
+    Each override contributes the classes of source * rho, rho a basis
+    class of the base row H^a(G), each a page-r cycle; a page basis class
+    in their span maps to the matching combination of the classes of
+    value * rho, and one outside it to zero.
     """
     r = page.r
     active = [ov for ov in overrides if ov.r == r]
@@ -386,11 +387,12 @@ def apply_overrides(
             continue
         s_mat = np.concatenate(sources, axis=1) % p
         v_mat = np.concatenate(values, axis=1) % p
-        aug = np.concatenate([s_mat, cell.boundary_basis.T], axis=1)
-        _check_override_well_defined(r, (i, j), tgt, aug, v_mat)
-        # x is zero on the representatives outside sources + boundaries
-        x, _ = solve_linear(aug, cell.quotient_reps.T, p)
-        out[(i, j)] = _page_block(r, (i, j), tgt, mul_mod(v_mat, x[: s_mat.shape[1]], p).T)
+        s_cols = _page_block(r, (i, j), cell, s_mat.T, "override source product")
+        v_cols = _page_block(r, (i, j), tgt, v_mat.T)
+        _check_override_well_defined(s_cols, v_cols, p)
+        # x is zero on the page basis classes outside the sources' span
+        x, _ = solve_linear(s_cols, np.eye(cell.dim, dtype=np.int64), p)
+        out[(i, j)] = mul_mod(v_cols, x, p)
     return out
 
 
@@ -407,17 +409,14 @@ def _check_source_survives(ctx, page: Page, ov: DifferentialOverride):
             f"override source {ov.source} does not survive to page {page.r}"
         ) from exc
     if not coords.any():
-        raise EngineError(
-            f"override source {ov.source} is zero on page {page.r}"
-        )
+        raise EngineError(f"override source {ov.source} is zero on page {page.r}")
 
 
-def _check_override_well_defined(r, ij, tgt: Subquotient, aug, v_mat):
-    """Kernel directions of [sources | boundaries] must carry values into
-    the target boundaries, otherwise the override file is inconsistent."""
-    heads = kernel_basis(aug, tgt.p)[0][:, : v_mat.shape[1]]
-    mat, _ = _page_block(r, ij, tgt, mul_mod(heads, v_mat.T, tgt.p))
-    if mat.any():
+def _check_override_well_defined(s_cols, v_cols, p: int):
+    """Combinations of source products (columns) that vanish on the page
+    must carry values that vanish on the target page, otherwise the
+    override file is inconsistent."""
+    if mul_mod(v_cols, kernel_basis(s_cols, p)[0].T, p).any():
         raise EngineError("override differential is not well defined on the page")
 
 

@@ -393,7 +393,8 @@ def _perturbation_terms(cx: _HomDoubleComplex, con: _Contraction, adjoints: list
         nh_t = con.pi[jj].shape[0]
         term = _along_base(con.pi[jj], w, p).reshape(nh_t, ac, size)
         yield (c, jj), (sign * term.transpose(1, 0, 2).reshape(ac * nh_t, size)) % p
-        if jj == 0:
+        if jj == 0 or ac == 0:
+            # a_c = 0: every later term passes through this empty column
             break
         check_budget(ng * ac * size * cx.b(jj - 1), budget,
                      f"the cochain batch at ({c}, {jj - 1})")

@@ -163,6 +163,7 @@ def parse_e2(text: str, spec: ExtensionSpec) -> E2Element:
 
 
 _RECORD = re.compile(r"^\s*\{(.*)\}\s*$", re.S)
+_SPEC_KEYS = ("p", "kernel_m", "quotient", "xi", "xi_prime")
 
 
 def parse_extension_spec(text: str) -> ExtensionSpec:
@@ -179,7 +180,12 @@ def parse_extension_spec(text: str) -> ExtensionSpec:
         if ":" not in chunk:
             raise ParseError(f"expected 'key: value', got {chunk!r}")
         key, val = chunk.split(":", 1)
-        fields[key.strip()] = _parse_value(val.strip())
+        key = key.strip()
+        if key not in _SPEC_KEYS:
+            raise ParseError(f"unknown spec field {key!r}; the fields are {', '.join(_SPEC_KEYS)}")
+        if key in fields:
+            raise ParseError(f"spec field {key!r} is given twice")
+        fields[key] = _parse_value(val.strip())
     missing = {"p", "kernel_m", "quotient", "xi"} - set(fields)
     if missing:
         raise ParseError(f"missing spec fields: {sorted(missing)}")

@@ -187,6 +187,47 @@ def test_non_prime_modulus_errors(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("exponents", ["1,x", ""])
+def test_massey_non_integer_exponents_error(exponents, capsys):
+    rc = main(["massey", "--p", "3", "--exponents", exponents,
+               "--a", "y1", "--b", "y1", "--c", "y1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_trivial_quotient_oracle_pages_and_compare(tmp_path, capsys):
+    # a_c = 0 for c >= 1 over the trivial quotient: the oracle's
+    # perturbation series must stop at the empty column
+    spec = tmp_path / "c3.cfg"
+    spec.write_text('{p: 3, kernel_m: 1, quotient: [], xi: "0"}')
+    out = tmp_path / "oracle.json"
+    rc = main(["oracle", "--pages", "--spec", str(spec), "--max-degree", "4", "--out", str(out)])
+    assert rc == 0 and json.loads(out.read_text())["cohomology_dims"] == [1] * 5
+    out = tmp_path / "cmp.json"
+    rc = main(["compare", "--spec", str(spec), "--max-degree", "4", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["cohomology_dims"] == [1] * 5
+    assert list(report["verdicts"].values()) == ["match"] * 4
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{p: 3, kernel_m: 1, quotient: [1, 1], xi: "y1*y2", xi_prim: "0"}',
+     "unknown spec field 'xi_prim'"),
+    ('{p: 3, kernel_m: 1, quotient: [1, 1], xi: "y1*y2", p: 5}',
+     "spec field 'p' is given twice"),
+])
+def test_unknown_or_repeated_spec_field_errors(text, message, tmp_path, capsys):
+    # a misspelt xi_prime would otherwise be replaced by the Bockstein
+    # class, and a repeated p would overwrite the first
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    rc = main(["sseq", "--spec", str(bad), "--max-degree", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.strip().splitlines()) == 1
+
+
 def test_group_error_in_spec_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text('{p: 3, kernel_m: 1, quotient: [1, 1], xi: "x1*y1"}')

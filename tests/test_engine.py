@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,19 +7,19 @@ import pytest
 
 from lhsseq.cohomology import CohoClass, RingContext, cup
 from lhsseq.engine import (
+    Cell,
     DifferentialOverride,
     EngineContext,
     EngineError,
+    _init_page,
     apply_overrides,
     differential_matrix,
     expand_rational,
-    init_pages,
     poly_mul,
     run,
-    turn_page,
 )
 from lhsseq.extensions import ExtensionSpec
-from lhsseq.fplinalg import subquotient_of
+from lhsseq.fplinalg import mul_mod, rref, subquotient_of
 from lhsseq.groups import AbelianPGroupSpec
 from lhsseq.parsing import parse_class, parse_e2, parse_extension_spec, parse_overrides
 
@@ -113,7 +114,7 @@ def test_expand_rejects_zero_constant_term():
 
 
 def test_init_page_rank_two_rows():
-    page = init_pages(make_spec("y1*y2", 1, 1), 12)
+    page = _init_page(EngineContext(make_spec("y1*y2", 1, 1), 12))
     for i in range(6):
         for j in range(6):
             assert page.dim(i, j) == i + 1
@@ -122,39 +123,34 @@ def test_init_page_rank_two_rows():
 def test_init_page_trivial_quotient():
     q = AbelianPGroupSpec(3, ())
     spec = ExtensionSpec(p=3, kernel_m=1, quotient=q, xi=CohoClass.zero(q))
-    page = init_pages(spec, 8)
+    page = _init_page(EngineContext(spec, 8))
     assert all(page.dim(0, j) == 1 for j in range(8))
     assert all(page.dim(i, j) == 0 for i in range(1, 8) for j in range(8))
 
 
 def test_init_page_c9_quotient():
     spec = make_spec("0", 2, 2)
-    page = init_pages(spec, 10)
+    page = _init_page(EngineContext(spec, 10))
     # dim H^i(C_9 + C_9) = i + 1 as well
     assert page.dim(3, 4) == 4
 
 
 @pytest.mark.parametrize("name", CONFIG_SPECS)
 def test_e2_cells_equal_the_whole_space_subquotient(name):
-    # E_2 is built without elimination; it must be exactly what
-    # subquotient_of makes of the identity with no boundaries
-    from lhsseq.engine import _init_page
-
+    # E_2 is built without elimination; its cells must be exactly what
+    # subquotient_of makes of the identity with no boundaries: the unit
+    # vectors as representatives, and page coordinates equal to E_2 ones
     ctx = EngineContext(config_spec(name), 12)
     page = _init_page(ctx)
     assert len(page.cells) == sum(13 - i for i in range(13) if ctx.ring.dim(i))
     for (i, j), cell in page.cells.items():
         d = ctx.ring.dim(i)
         want = subquotient_of(np.eye(d, dtype=np.int64), [], d, ctx.p)
-        assert (cell.p, cell.ambient_dim, cell.dim) == (want.p, want.ambient_dim, want.dim)
-        for got_a, want_a in [
-            (cell.boundary_basis, want.boundary_basis),
-            (cell.quotient_reps, want.quotient_reps),
-        ]:
-            assert got_a.dtype == want_a.dtype and got_a.shape == want_a.shape
-            assert (got_a == want_a).all()
-        assert cell._b_pivots == want._b_pivots
-        assert cell._r_pivots == want._r_pivots
+        assert cell.steps == () and cell.dim == want.dim and not want.boundary_basis.size
+        got_a, want_a = cell.reps, want.quotient_reps
+        assert got_a.dtype == want_a.dtype and got_a.shape == want_a.shape
+        assert (got_a == want_a).all()
+        assert (cell.reduce(want_a) == want.reduce(want_a)).all()
 
 
 # ---- closed differential formulas ---------------------------------------
@@ -163,18 +159,17 @@ def test_e2_cells_equal_the_whole_space_subquotient(name):
 def test_d2_matches_multiplication_by_xi():
     spec = make_spec("y1*y2", 1, 1)
     ctx = EngineContext(spec, 10)
-    page = init_pages(spec, 10)
+    page = _init_page(ctx)
     diffs = differential_matrix(ctx, page, 2)
-    # at (1, 1): u*chi -> xi*chi for chi in H^1
-    # (image row k is the image of basis class k)
-    mat, images = diffs[(1, 1)]
+    # at (1, 1): u*chi -> xi*chi for chi in H^1; E_2 representatives are
+    # the unit vectors, so page column k is the image of basis class k
+    mat = diffs[(1, 1)]
     xi = spec.xi
-    for row, mon in enumerate(ctx.ring.basis(1)):
+    for col, mon in enumerate(ctx.ring.basis(1)):
         chi = CohoClass(spec.quotient, {mon: 1})
-        assert (images[row] == ctx.ring.to_vector(cup(xi, chi), 3)).all()
+        assert (mat[:, col] == ctx.ring.to_vector(cup(xi, chi), 3) % 3).all()
     # even rows die under d2
-    mat0, images0 = diffs[(1, 2)]
-    assert not images0.any()
+    assert not diffs[(1, 2)].any()
 
 
 def test_paper_d4_values_case_e():
@@ -262,17 +257,17 @@ def test_d_squared_check_raises_on_a_nonzero_composite():
     from lhsseq.engine import check_d_squared
 
     one = np.ones((1, 1), dtype=np.int64)
-    diffs = {(0, 1): (one, one), (2, 0): (one, one)}
+    diffs = {(0, 1): one, (2, 0): one}
     with pytest.raises(EngineError, match=r"d_2\^2 != 0 at bidegree \(0, 1\)"):
-        check_d_squared(None, diffs, 2, 3)
-    check_d_squared(None, {(0, 1): (one, one), (2, 0): (0 * one, one)}, 2, 3)
+        check_d_squared(diffs, 2, 3)
+    check_d_squared({(0, 1): one, (2, 0): 0 * one}, 2, 3)
 
 
 def test_differential_value_off_the_target_cycles_is_rejected():
     from lhsseq.engine import _page_block
 
-    tgt = subquotient_of([[1, 0]], [], 2, 3)
-    assert _page_block(2, (0, 1), tgt, np.array([[2, 0]]))[0].tolist() == [[2]]
+    tgt = Cell(np.array([[1, 0]]), (subquotient_of([[1, 0]], [], 2, 3),))
+    assert _page_block(2, (0, 1), tgt, np.array([[2, 0]])).tolist() == [[2]]
     with pytest.raises(EngineError, match="not a page-2 cycle"):
         _page_block(2, (0, 1), tgt, np.array([[1, 1]]))
 
@@ -301,7 +296,7 @@ def test_collapse_when_xi_zero():
 
 def test_row_dimension_law_all_quotients():
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        page = init_pages(make_spec("y1*y2", m, n), 12)
+        page = _init_page(EngineContext(make_spec("y1*y2", m, n), 12))
         for i in range(13):
             for j in range(13 - i):
                 assert page.dim(i, j) == i + 1
@@ -381,6 +376,20 @@ d5 | t^2*x1*y2 - t^2*x2*y1 | x2^3*x1 - x1^3*x2 | -v
 """
     with pytest.raises(EngineError, match="not well defined on the page"):
         run(spec, 14, overrides=parse_overrides(text, spec))
+
+def test_override_source_product_off_the_page_cycles_is_rejected():
+    # source * rho must be a page-r cycle: a cell whose cycles miss the
+    # products of t^2 (x1 y2 - x2 y1) with H^1 makes apply_overrides refuse
+    spec = make_spec("y1*y2", 1, 1)
+    ctx = EngineContext(spec, 14)
+    page = run(spec, 14, r_max=5)["pages"][5]
+    d = ctx.ring.dim(4)
+    e0 = np.eye(d, dtype=np.int64)[:1]
+    page.cells[(4, 4)] = Cell(e0, (subquotient_of(e0, [], d, 3, [0]),))
+    ovs = parse_overrides(CASE_F_OVERRIDES, spec)[:1]
+    with pytest.raises(EngineError, match=r"source product at \(4, 4\) is not a page-5 cycle"):
+        apply_overrides(ctx, page, ovs)
+
 
 def test_empty_overrides_give_zero_differential():
     spec = make_spec("y1*y2", 2, 2)
@@ -505,3 +514,51 @@ def test_page_totals_never_increase_and_e2_rows_are_the_ring(name, seed):
     for r in range(2, max(pages)):
         before, after = pages[r].total_dims(N), pages[r + 1].total_dims(N)
         assert all(b >= a for b, a in zip(before, after)), (r, before, after)
+
+
+# ---- the subspaces behind the pages --------------------------------------
+
+# RREF(B_r) and RREF(Z_r) of every cell of pages 2..7 at N=12, in E_2
+# coordinates, as the first 16 hex digits of the sha256 of the JSON
+# [shape, rows]; recorded from an earlier engine that stored each page as
+# subspaces Z_r >= B_r of E_2, with the same digests for rng None and seed 0
+SUBSPACES = json.loads((ROOT / "tests" / "data" / "page_subspaces_n12.json").read_text())
+PIN_SPECS = {
+    **{name: ROOT / "configs" / f"{name}.cfg" for name in CONFIG_SPECS},
+    "rank3_order81": ROOT / "perfbench" / "specs" / "rank3_order81.cfg",
+}
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(json.dumps([list(a.shape), a.tolist()]).encode()).hexdigest()[:16]
+
+
+def test_subspace_fixture_covers_every_pinned_spec():
+    assert sorted(SUBSPACES) == sorted(PIN_SPECS)
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+@pytest.mark.parametrize("name", sorted(PIN_SPECS))
+def test_page_subspaces_match_the_fixture(name, seed):
+    # pages pin the subspaces, not just their dimensions: a cell's step
+    # adds its boundary basis (page coordinates) times the previous
+    # representatives to B, and Z = B + span(representatives)
+    path = PIN_SPECS[name]
+    spec = parse_extension_spec(path.read_text())
+    overrides_file = path.with_name(f"{name}_overrides.cfg")
+    ovs = parse_overrides(overrides_file.read_text(), spec) if overrides_file.exists() else []
+    rng = None if seed is None else np.random.RandomState(seed)
+    pages = run(spec, 12, overrides=ovs, rng=rng)["pages"]
+    p = spec.p
+    bnd = {ij: np.zeros((0, cell.reps.shape[1]), dtype=np.int64)
+           for ij, cell in pages[2].cells.items()}
+    for r in range(2, 8):
+        got = {}
+        for (i, j), cell in pages[r].cells.items():
+            before = pages[r - 1].cells[(i, j)] if r > 2 else cell
+            if len(cell.steps) > len(before.steps):
+                new = mul_mod(cell.steps[-1].boundary_basis, before.reps, p)
+                bnd[(i, j)] = rref(np.concatenate([bnd[(i, j)], new]), p)[0]
+            z = rref(np.concatenate([bnd[(i, j)], cell.reps]), p)[0]
+            got[f"{i},{j}"] = f"{_digest(bnd[(i, j)])} {_digest(z)}"
+        assert got == SUBSPACES[name][str(r)], (name, r)
