@@ -434,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0)
         if budget:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                            help="most entries any one array may hold (default 2^27)")
+                            help="most entries any one array may hold (default 2^27); "
+                                 "it bounds each array, not the sum of those alive at once")
         sp.add_argument("--out", help="write the machine-readable report here")
         sp.add_argument("--json", action="store_true", help="print the report as JSON")
 

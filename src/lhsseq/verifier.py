@@ -19,6 +19,7 @@ Convention notes (the self-test suite pins these):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,20 +89,34 @@ class E0Cochain:
         return self.i + self.j
 
 
-def _row_blocks(*mats: sp.csr_matrix):
-    """(lo, hi, blocks): rows lo..hi-1 of equally tall face matrices, as many as
-    the narrowest has columns, as views on the stored arrays (m[lo:hi] and scipy's
-    constructor would copy; every row holds `faces` entries, so the first offsets
-    of indptr serve every block).  scipy upcasts int8 data in every product and
-    sizes a product's workspace by its whole left operand, so products run per block."""
-    rows, step = mats[0].shape[0], min(m.shape[1] for m in mats)
+def _row_blocks(m: sp.csr_matrix):
+    """(lo, hi, block): rows lo..hi-1 of a face matrix, as many as it has columns,
+    as a view on the stored arrays (m[lo:hi] and scipy's constructor would copy;
+    every row holds `faces` entries, so the first offsets of indptr serve every
+    block).  scipy upcasts int8 data in every product and sizes a product's
+    workspace by its whole left operand, so products run per block."""
+    rows, step = m.shape
     for lo in range(0, rows, step):
-        hi, blocks = min(lo + step, rows), []
-        for m in mats:
-            b, (a, z) = sp.csr_matrix((hi - lo, m.shape[1]), dtype=m.dtype), m.indptr[[lo, hi]]
-            b.data, b.indices, b.indptr = m.data[a:z], m.indices[a:z], m.indptr[: hi - lo + 1]
-            blocks.append(b)
-        yield lo, hi, blocks
+        hi = min(lo + step, rows)
+        b, (a, z) = sp.csr_matrix((hi - lo, step), dtype=m.dtype), m.indptr[[lo, hi]]
+        b.data, b.indices, b.indptr = m.data[a:z], m.indices[a:z], m.indptr[: hi - lo + 1]
+        yield lo, hi, b
+
+
+def _row_ranges(sizes: tuple, step: int):
+    """Consecutive ranges of at most `step` rows that cover the rows of a target
+    with mixed-radix digit axes `sizes`.  Each is a box of the axes: its leading
+    digits are fixed, one axis runs over a sub-range and the rest are whole, so
+    `_face_matrix` can broadcast over it."""
+    n = span = unit = math.prod(sizes)
+    for s in sizes:
+        if unit <= step:
+            break
+        span, unit = unit, unit // s
+    size = min(span, unit * (step // unit))
+    for base in range(0, n, span):
+        for lo in range(base, base + span, size):
+            yield range(lo, min(lo + size, base + span))
 
 
 class BarDoubleComplex:
@@ -185,51 +200,67 @@ class BarDoubleComplex:
     def d1_matrix(self, i: int, j: int) -> sp.csr_matrix:
         return self._face_matrix("d1", i, j)
 
-    def _face_matrix(self, name: str, i: int, j: int) -> sp.csr_matrix:
-        """The cached CSR matrix of d0 : (i, j) -> (i, j+1) or d1 : (i, j) -> (i+1, j):
-        each target row holds one int8 sign +-1 per face at the face's int32 source
-        column (a row may repeat a column), so products of these matrices cancel
-        exactly and store nothing where they vanish.  The columns are written by
-        broadcasting over the target's digit axes (g, s_1..s_i, e_1..e_j).  Face
-        k >= 1 drops the k-th digit of the moving block (e for d0, s for d1) and keeps
-        every other digit at its source weight; face 0 drops the block's first digit
-        x, maps g to pi(x)^-1 g (d0) or g x (d1) and each later block digit d to x^-1 d."""
+    def _target_axes(self, name: str, i: int, j: int):
+        """(ti, tj, sizes): the target bidegree of d0 or d1 out of (i, j) and the
+        sizes of its digit axes (g, s_1..s_ti, e_1..e_tj)."""
+        ti, tj = (i, j + 1) if name == "d0" else (i + 1, j)
+        return ti, tj, (self.ng,) * (ti + 1) + (self.ne,) * tj
+
+    def _face_matrix(self, name: str, i: int, j: int, rows: range | None = None) -> sp.csr_matrix:
+        """The CSR matrix of d0 : (i, j) -> (i, j+1) or d1 : (i, j) -> (i+1, j), or
+        of its target rows `rows` alone, a box of the digit axes as `_row_ranges`
+        cuts them; only the full matrix is cached.  Each target row holds one int8
+        sign +-1 per face at the face's int32 source column (a row may repeat a
+        column), so products of these matrices cancel exactly and store nothing
+        where they vanish.  The columns are written by broadcasting over the
+        target's digits (g, s_1..s_i, e_1..e_j) in the rows' box.  Face k >= 1
+        drops the k-th digit of the moving block (e for d0, s for d1) and keeps
+        every other digit at its source weight; face 0 drops the block's first
+        digit x, maps g to pi(x)^-1 g (d0) or g x (d1) and each later block digit
+        d to x^-1 d.  The budget and the int32 guard bound the rows built."""
         key = (name, i, j)
-        if key in self._dmat:
+        if rows is None and key in self._dmat:
             return self._dmat[key]
         d0 = name == "d0"
-        ti, tj = (i, j + 1) if d0 else (i + 1, j)
-        rows, faces = self.dim(ti, tj), (tj if d0 else ti) + 1
+        ti, tj, sizes = self._target_axes(name, i, j)
+        lo, hi = (0, self.dim(ti, tj)) if rows is None else (rows.start, rows.stop)
+        n, faces = hi - lo, (tj if d0 else ti) + 1
         what = f"the {name} face matrix out of ({i}, {j})"
-        check_budget(rows * faces, self.budget, what)
-        if rows * faces > np.iinfo(np.int32).max:
-            raise BudgetExceeded(f"{what} needs {rows * faces:,} entries, past int32 indices")
+        if rows is not None:
+            what += f", rows {lo:,}..{hi - 1:,}"
+        check_budget(n * faces, self.budget, what)
+        if max(n * faces, self.dim(i, j)) > np.iinfo(np.int32).max:
+            raise BudgetExceeded(f"{what} needs {n * faces:,} entries, past int32 indices")
+        digits = [np.arange(a, b + 1) for a, b in np.unravel_index([lo, hi - 1], sizes)]
+        shape = [len(d) for d in digits]  # a non-box range fails the reshape below
         ng, ne, grp = self.ng, self.ne, self.E if d0 else self.G
-        sizes = (ng,) * (ti + 1) + (ne,) * tj
         weights = [ng ** (i - a) * ne**j for a in range(i + 1)] + [ne**b for b in range(j)][::-1]
         first, stop = (ti + 1, len(sizes)) if d0 else (1, ti + 1)  # the moving block's axes
         move_g = self.G.mul[self.G.inv[self.pi]].T if d0 else self.G.mul  # [g, x]
         move_d = grp.mul[grp.inv]  # [x, d] -> x^-1 d
         on = lambda t, *axes: t.astype(np.int32).reshape(
-            [sizes[a] if a in axes else 1 for a in range(len(sizes))])
-        src = np.empty(rows * faces, dtype=np.int32)
+            [shape[a] if a in axes else 1 for a in range(len(shape))])
+        src = np.empty(n * faces, dtype=np.int32)
         for k in range(faces):
             drop = first + max(k - 1, 0)
             w = weights[:drop] + [0] + weights[drop:]
-            terms = {a: on(np.arange(sizes[a]) * w[a], a) for a in range(len(sizes)) if a != drop}
+            terms = {a: on(digits[a] * w[a], a) for a in range(len(sizes)) if a != drop}
             if k == 0:
-                terms[0] = on(move_g * w[0], 0, first)
-                terms.update({a: on(move_d * w[a], first, a) for a in range(first + 1, stop)})
-            out = src.reshape(sizes + (faces,))[..., k]
+                terms[0] = on(move_g[np.ix_(digits[0], digits[first])] * w[0], 0, first)
+                terms.update({a: on(move_d[np.ix_(digits[first], digits[a])] * w[a], first, a)
+                              for a in range(first + 1, stop)})
+            out = src.reshape(shape + [faces])[..., k]
             out[...] = terms.pop(0)
             for t in terms.values():
                 out += t
         signs = np.array([(-1) ** (k + (i if d0 else 0)) for k in range(faces)], dtype=np.int8)
-        self._dmat[key] = sp.csr_matrix(
-            (np.tile(signs, rows), src, np.arange(0, rows * faces + 1, faces, dtype=np.int32)),
-            shape=(rows, self.dim(i, j)),
+        m = sp.csr_matrix(
+            (np.tile(signs, n), src, np.arange(0, n * faces + 1, faces, dtype=np.int32)),
+            shape=(n, self.dim(i, j)),
         )
-        return self._dmat[key]
+        if rows is None:
+            self._dmat[key] = m
+        return m
 
     def d0(self, c: E0Cochain) -> E0Cochain:
         return E0Cochain(self, c.i, c.j + 1, self._apply(self.d0_matrix(c.i, c.j), c.values))
@@ -239,30 +270,37 @@ class BarDoubleComplex:
 
     def _apply(self, m: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
         out = np.empty(m.shape[0], dtype=np.int64)
-        for lo, hi, (block,) in _row_blocks(m):
+        for lo, hi, block in _row_blocks(m):
             np.remainder(block @ values, self.p, out=out[lo:hi])
         return out
 
     def complex_identity_residual(self, max_total: int | None = None) -> int:
         """Exhaustive check of d0^2 = d1^2 = d0 d1 + d1 d0 = 0 on every
         stored bidegree, via sparse products of the integer face matrices,
-        reduced mod p once.  An entry of a @ b is at most faces_a x faces_b
-        times the largest |coefficients| (of d0 d1 + d1 d0, the sum of two
-        such bounds); each identity runs in the narrowest type holding it,
+        reduced mod p once.  The right operands, out of (i, j), are the cached
+        matrices.  The left operands, out of total degree i + j + 1, are built
+        in row blocks of at most as many rows as they have columns, at the
+        point of use, and each block is dropped after its product; the blocks
+        of d0 d1 and d1 d0 cover the same rows and are summed per block.  An
+        entry of a @ b is at most faces_a x faces_b times the largest
+        |coefficients| (of d0 d1 + d1 d0, the sum of two such bounds); each
+        block's product runs in the narrowest type holding its own bound,
         since scipy keeps int8 through a product and wraps silently."""
         top = self.bound if max_total is None else max_total
         p = self.p
-        d0, d1 = self.d0_matrix, self.d1_matrix
         bound = lambda m: int(m.indptr[1]) * max(int(m.data.max()), -int(m.data.min()))
         worst = 0
         for i in range(top + 1):
             for j in range(top + 1 - i):
-                for terms in ([(d0(i, j + 1), d0(i, j))], [(d1(i + 1, j), d1(i, j))],
-                              [(d0(i + 1, j), d1(i, j)), (d1(i, j + 1), d0(i, j))]):
-                    dtype = np.min_scalar_type(-sum(bound(a) * bound(b) for a, b in terms))
-                    rights = [b.astype(dtype, copy=False) for _, b in terms]
-                    for *_, lefts in _row_blocks(*(a for a, _ in terms)):
-                        prods = [a.astype(dtype, copy=False) @ b for a, b in zip(lefts, rights)]
+                d0, d1 = self.d0_matrix(i, j), self.d1_matrix(i, j)
+                for terms in ([(("d0", i, j + 1), d0)], [(("d1", i + 1, j), d1)],
+                              [(("d0", i + 1, j), d1), (("d1", i, j + 1), d0)]):
+                    step = min(self.dim(a, b) for (_, a, b), _ in terms)
+                    for rows in _row_ranges(self._target_axes(*terms[0][0])[2], step):
+                        lefts = [(self._face_matrix(*left, rows), b) for left, b in terms]
+                        dtype = np.min_scalar_type(-sum(bound(a) * bound(b) for a, b in lefts))
+                        prods = [a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+                                 for a, b in lefts]
                         r = sum(prods[1:], prods[0]).data % p
                         worst = max(worst, int(np.minimum(r, p - r).max(initial=0)))
         return worst
@@ -410,55 +448,59 @@ def check_lemma1(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain):
     """Residuals of the four coboundary formulas; all must vanish.
 
     Returns a list of (name, residual cochain or None when the formula
-    has no valid bidegree instance for this pair).
+    has no valid bidegree instance for this pair).  The cup10 and the
+    cup01 formulas share d0 and d1 of phi and theta and phi wedge theta,
+    which are computed once.  d0 of a top-degree cochain is the largest
+    cochain here, so d0(phi) enters both formulas and is dropped before
+    d0(theta) is taken.
     """
-    p = cx.p
-    sphi = -1 if (phi.total_degree % 2) else 1
-    stw = -1 if (phi.total_degree * theta.total_degree) % 2 else 1
-    out = []
-    if phi.i + theta.i >= 1:
-        c10 = cx.product(phi, theta, "cup10")
-        r = cx.d0(c10) + cx.product(cx.d0(phi), theta, "cup10") + cx.product(
-            phi, cx.d0(theta), "cup10"
-        ).scale(sphi)
-        out.append(("d0-cup10", r))
-        out.append(("d1-cup10", d1_cup10_residual(cx, phi, theta, c10)))
-    else:
-        out.extend([("d0-cup10", None), ("d1-cup10", None)])
-    if phi.j + theta.j >= 1:
-        c01 = cx.product(phi, theta, "cup01")
-        r = (
-            cx.d0(c01)
-            + cx.product(cx.d0(phi), theta, "cup01")
-            + cx.product(phi, cx.d0(theta), "cup01").scale(sphi)
-            - cx.product(phi, theta, "wedge")
-            + cx.product(theta, phi, "cup").scale(stw)
-        )
-        out.append(("d0-cup01", r))
-        r = cx.d1(c01) + cx.product(cx.d1(phi), theta, "cup01") + cx.product(
-            phi, cx.d1(theta), "cup01"
-        ).scale(sphi)
-        out.append(("d1-cup01", r))
-    else:
-        out.extend([("d0-cup01", None), ("d1-cup01", None)])
-    return out
+    kinds = [k for k, on in (("cup10", phi.i + theta.i >= 1), ("cup01", phi.j + theta.j >= 1)) if on]
+    out = {}
+    if kinds:
+        sphi = -1 if (phi.total_degree % 2) else 1
+        stw = -1 if (phi.total_degree * theta.total_degree) % 2 else 1
+        wedge = cx.product(phi, theta, "wedge")
+        c = {k: cx.product(phi, theta, k) for k in kinds}
+        d0phi = cx.d0(phi)
+        r0 = {k: cx.d0(c[k]) + cx.product(d0phi, theta, k) for k in kinds}
+        del d0phi
+        d0theta = cx.d0(theta)
+        r0 = {k: r + cx.product(phi, d0theta, k).scale(sphi) for k, r in r0.items()}
+        del d0theta
+        d1phi, d1theta = cx.d1(phi), cx.d1(theta)
+        if "cup10" in c:
+            out["d0-cup10"] = r0["cup10"]
+            out["d1-cup10"] = d1_cup10_residual(cx, phi, theta, c["cup10"], d1phi=d1phi,
+                                                d1theta=d1theta, wedge=wedge)
+        if "cup01" in c:
+            out["d0-cup01"] = r0["cup01"] - wedge + cx.product(theta, phi, "cup").scale(stw)
+            out["d1-cup01"] = cx.d1(c["cup01"]) + cx.product(d1phi, theta, "cup01") + cx.product(
+                phi, d1theta, "cup01"
+            ).scale(sphi)
+    return [(name, out.get(name)) for name in ("d0-cup10", "d1-cup10", "d0-cup01", "d1-cup01")]
 
 
 def d1_cup10_residual(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain,
-                      c10: E0Cochain) -> E0Cochain:
+                      c10: E0Cochain, *, d1phi: E0Cochain | None = None,
+                      d1theta: E0Cochain | None = None,
+                      wedge: E0Cochain | None = None) -> E0Cochain:
     """Residual of Steenrod's homotopy between the cup and the wedge
-    product along d_1, given c10 = phi cup10 theta:
+    product along d_1, given c10 = phi cup10 theta (and, when the caller
+    has them, d1(phi), d1(theta) and phi wedge theta):
 
         d1(c10) + d1(phi) cup10 theta + (-1)^{|phi|} phi cup10 d1(theta)
             = phi cup theta - phi wedge theta.
     """
     sphi = -1 if (phi.total_degree % 2) else 1
+    d1phi = cx.d1(phi) if d1phi is None else d1phi
+    d1theta = cx.d1(theta) if d1theta is None else d1theta
+    wedge = cx.product(phi, theta, "wedge") if wedge is None else wedge
     return (
         cx.d1(c10)
-        + cx.product(cx.d1(phi), theta, "cup10")
-        + cx.product(phi, cx.d1(theta), "cup10").scale(sphi)
+        + cx.product(d1phi, theta, "cup10")
+        + cx.product(phi, d1theta, "cup10").scale(sphi)
         - cx.product(phi, theta, "cup")
-        + cx.product(phi, theta, "wedge")
+        + wedge
     )
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.extensions import ExtensionSpec
@@ -10,6 +11,7 @@ from lhsseq.groups import AbelianPGroupSpec, GroupError
 from lhsseq.fplinalg import BudgetExceeded
 from lhsseq.verifier import (
     BarDoubleComplex,
+    _row_ranges,
     build_double_complex,
     build_eta_family,
     build_ladder,
@@ -168,13 +170,57 @@ def test_face_matrix_products_cancel_exactly(cx9):
 
 # d0 (3, 0) -> (3, 1) is read through total degree 2 only by d0 d1 + d1 d0.
 @pytest.mark.parametrize("which,i,j", [("d0", 1, 1), ("d1", 1, 1), ("d0", 3, 0)])
-def test_complex_identities_detect_a_corrupted_face(which, i, j):
+def test_complex_identities_detect_a_corrupted_face(which, i, j, monkeypatch):
     cx = build_double_complex(c9_extension(), 3)
-    m = getattr(cx, f"{which}_matrix")(i, j)
-    # the cached matrix, which every later read shares; not row 0, the
-    # all-identity tuple, whose image under the next differential cancels
-    m.data[-1] += 1
+    # not row 0, the all-identity tuple, whose image under the next
+    # differential cancels, but the last face of the last row
+    if i + j <= 2:
+        # a right operand: the cached matrix, which every later read shares
+        getattr(cx, f"{which}_matrix")(i, j).data[-1] += 1
+    else:
+        # a left operand only, built in row blocks at each use and never
+        # cached: corrupt the block that holds the last row
+        build, hit = BarDoubleComplex._face_matrix, []
+        last = cx.dim(*cx._target_axes(which, i, j)[:2]) - 1
+
+        def corrupted(self, name, a, b, rows=None):
+            m = build(self, name, a, b, rows)
+            if (name, a, b) == (which, i, j) and rows is not None and last in rows:
+                m.data[-1] += 1
+                hit.append(rows)
+            return m
+
+        monkeypatch.setattr(BarDoubleComplex, "_face_matrix", corrupted)
     assert cx.complex_identity_residual(2) != 0
+    if i + j > 2:
+        assert len(hit) == 1 and hit[0].start > 0
+        assert (which, i, j) not in cx._dmat
+
+
+@pytest.mark.parametrize("fixture", ["cx4", "cx9"])
+def test_face_matrix_blocks_stack_to_the_full_matrix(fixture, request):
+    # the row blocks of the d^2 check, and blocks cut finer and coarser than
+    # it cuts them, are the full matrix's rows, entry for entry
+    cx = request.getfixturevalue(fixture)
+    for total in range(4):
+        for i in range(total + 1):
+            j = total - i
+            for name in ("d0", "d1"):
+                full = cx._face_matrix(name, i, j)
+                sizes = cx._target_axes(name, i, j)[2]
+                for step in sorted({1, 5, cx.dim(i, j), full.shape[0]}):
+                    ranges = list(_row_ranges(sizes, step))
+                    assert all(0 < len(r) <= step for r in ranges)
+                    assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
+                    blocks = [cx._face_matrix(name, i, j, r) for r in ranges]
+                    for b, r in zip(blocks, ranges):
+                        assert b.shape == (len(r), full.shape[1])
+                        assert (b.data.dtype, b.indices.dtype) == (np.int8, np.int32)
+                    m = sp.vstack(blocks, format="csr")
+                    assert m.shape == full.shape
+                    for part in ("indices", "indptr", "data"):
+                        assert np.array_equal(getattr(m, part), getattr(full, part)), (
+                            name, i, j, step, part)
 
 
 def test_complex_identities_exact_past_int8():
@@ -191,7 +237,14 @@ def test_complex_identities_exact_past_int8():
 @pytest.mark.slow
 def test_complex_identities_extraspecial_27():
     cx = build_double_complex(extraspecial27_extension(), 3)
+    tracemalloc.start()
     assert cx.complex_identity_residual(2) == 0
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # the left operands out of total degree 3 (d0 out of (0, 3) alone would
+    # be 139 MB) are built in blocks and dropped; only the right operands stay
+    assert peak <= 64 * 2**20
+    assert all(i + j < 3 for _, i, j in cx._dmat)
 
 
 def test_unit_cochain_is_identity(cx9):
