@@ -66,6 +66,11 @@ def _page_tables(pages) -> dict:
 
 def cmd_sseq(args) -> int:
     spec = _load_spec(args)
+    if args.max_degree < args.r_max:
+        raise ParseError(
+            f"--max-degree {args.max_degree} leaves no trusted coefficient (valid_through = "
+            f"max degree - r_max = {args.max_degree - args.r_max}); "
+            f"use --max-degree {args.r_max} or more")
     overrides = _load_overrides(args, spec)
     rng = np.random.RandomState(args.seed) if args.randomize else None
     t0 = time.time()
@@ -122,6 +127,9 @@ def _print_bigraded(page, max_degree: int | None = None):
 
 
 def cmd_oracle(args) -> int:
+    if args.pages and args.r_max < 1:
+        raise ParseError(f"--r-max must be at least 1 with --pages (pages start at E_1), "
+                         f"got {args.r_max}")
     spec = _load_spec(args)
     t0 = time.time()
     if args.pages:
@@ -223,17 +231,18 @@ def cmd_massey(args) -> int:
         print(f"undefined: {exc}")
         _emit(report, args)
         return 1
+    contains_zero = res.contains_zero()
     report.update(
         {
             "defined": True,
             "representative": str(res.representative),
             "indeterminacy_basis": sorted(str(v) for v in res.indeterminacy_basis),
-            "contains_zero": res.contains_zero(),
+            "contains_zero": contains_zero,
         }
     )
     print(f"<{a}, {b}, {c}> = {res.representative}")
     print(f"indeterminacy dimension {len(res.indeterminacy_basis)}; "
-          f"contains zero: {res.contains_zero()}")
+          f"contains zero: {contains_zero}")
     _emit(report, args)
     return 0
 
@@ -365,6 +374,8 @@ def _verify_homotopy():
 
 
 def cmd_verify(args) -> int:
+    if args.pairs < 1:
+        raise ParseError(f"--pairs must be at least 1, got {args.pairs}")
     rng = np.random.RandomState(args.seed)
     suites = {
         "products": lambda: _verify_products(rng, args.pairs, args.budget),

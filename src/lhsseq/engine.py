@@ -22,6 +22,17 @@ Differentials on pages five and up are zero unless supplied as
 overrides, which are extended over the page by the Leibniz rule (their
 products with surviving base-row classes), again one solve per bidegree,
 in page coordinates.  Both kinds reach turn_page as page matrices.
+
+Rows the formulas cannot tell apart share their work.  The formulas read
+row j = 2k + eps only through k mod p and eps, so within one call
+differential_matrix builds one page matrix per (i, k mod p, eps, source
+cell object, target cell object), and turn_page one new cell per (old
+cell object, outgoing matrix, incoming matrix), the matrices compared by
+content.  Every E_2 row is the same cell, so away from the truncation
+edge the cells of rows j and j + 2p stay one object on every page.  A
+run with an rng shares no d_r: each bidegree draws its own d_4 choices,
+so the random stream is the one an unshared run consumes.  Shared cells,
+steps and page matrices are read-only.
 """
 
 from __future__ import annotations
@@ -118,6 +129,9 @@ class Cell:
     reps: np.ndarray
     steps: tuple[Subquotient, ...] = ()
 
+    def __post_init__(self):
+        _frozen(self.reps)
+
     @property
     def dim(self) -> int:
         return self.reps.shape[0]
@@ -212,6 +226,28 @@ class EngineContext:
         return self._mult[key]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: cells, steps and page matrices are shared by
+    the rows whose inputs are equal, so an in-place write must raise."""
+    a.flags.writeable = False
+    return a
+
+
+def _shared(table: dict, ids: tuple, arrays: tuple, build):
+    """build(), or the value it gave earlier in this table for the same
+    ids and equal arrays (None matches None).  A key holds the ids and a
+    hash of each array's bytes, never a copy; np.array_equal confirms a
+    hit (the key puts None in the same places)."""
+    key = ids + tuple(None if a is None else hash(a.tobytes()) for a in arrays)
+    entries = table.setdefault(key, [])
+    for held, value in entries:
+        if all(a is b or np.array_equal(a, b) for a, b in zip(held, arrays)):
+            return value
+    value = build()
+    entries.append((arrays, value))
+    return value
+
+
 def _init_page(ctx: EngineContext) -> Page:
     """The starting page: every cell is its whole coordinate space, its
     classes the unit vectors."""
@@ -304,26 +340,39 @@ def _page_block(r: int, ij: tuple[int, int], cell: Cell, rows: np.ndarray,
 
 def differential_matrix(ctx: EngineContext, page: Page, r: int):
     """Per-bidegree d_r: {(i, j): page matrix}, mapping source page
-    coordinates to target page coordinates."""
+    coordinates to target page coordinates.
+
+    The formulas read row j = 2k + eps only through k mod p and eps, so
+    without an rng one read-only matrix serves every bidegree with the same
+    (i, k mod p, eps, source cell, target cell).  With an rng each bidegree
+    draws its own d_4 choices, in the order it always has."""
     if r != page.r:
         raise EngineError(f"page is at r={page.r}, asked for d_{r}")
-    out = {}
+    out, built = {}, {}
     for (i, j), cell in page.cells.items():
         tgt = page.cells.get((i + r, j - r + 1))
         if cell.dim == 0 or tgt is None:
             # missing target: either a negative row (formulas vanish there)
             # or beyond the truncation, where valid_through already rules
             continue
-        images = _formula_value(ctx, r, i, j, cell.reps)
-        out[(i, j)] = (np.zeros((tgt.dim, cell.dim), dtype=np.int64) if images is None
-                       else _page_block(r, (i, j), tgt, images))
+        k, eps = divmod(j, 2)
+        key = (i, k % ctx.p, eps, id(cell), id(tgt))
+        if ctx.rng is not None or key not in built:
+            images = _formula_value(ctx, r, i, j, cell.reps)
+            built[key] = _frozen(np.zeros((tgt.dim, cell.dim), dtype=np.int64) if images is None
+                                 else _page_block(r, (i, j), tgt, images))
+        out[(i, j)] = built[key]
     return out
 
 
 def check_d_squared(diffs: dict, r: int, p: int) -> None:
+    """d_r^2 = 0, one product per distinct pair of page matrices."""
+    products = {}
     for (i, j), m1 in diffs.items():
         m2 = diffs.get((i + r, j - r + 1))
-        if m2 is not None and m1.size and m2.size and mul_mod(m2, m1, p).any():
+        if m2 is None or not m1.size or not m2.size:
+            continue
+        if _shared(products, (), (m2, m1), lambda: mul_mod(m2, m1, p).any()):
             raise EngineError(f"d_{r}^2 != 0 at bidegree {(i, j)}")
 
 
@@ -331,28 +380,43 @@ def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
     """E_{r+1} = H(E_r, d_r), cell by cell, in page-r coordinates.
 
     A changed cell takes one step, the subquotient of F_p^dim with cycles
-    the kernel of the outgoing page matrix (a missing one is the kernel of
-    a 0-row matrix) and boundaries the columns of the incoming one; its
-    quotient representatives times the old ones are the new ones.  A cell
-    whose page matrices are both zero is carried over unchanged."""
+    the kernel of the outgoing page matrix and boundaries the columns of
+    the incoming one; its quotient representatives times the old ones are
+    the new ones.  A cell whose page matrices are both zero (or missing) is
+    carried over unchanged.  Bidegrees with the same old cell object and
+    equal outgoing and incoming matrices (by content; zero and missing
+    alike) get one new cell object, so rows that the formulas cannot tell
+    apart share their cells from page to page."""
     r = page.r
     p = ctx.p
     check_d_squared(diffs, r, p)
-    new_cells = {}
+    new_cells, turned = {}, {}
     for (i, j), cell in page.cells.items():
-        out = diffs.get((i, j))
-        inc = diffs.get((i - r, j + r - 1))
-        if all(d is None or not d.any() for d in (out, inc)):
+        out, inc = (_nonzero(diffs.get(ij)) for ij in ((i, j), (i - r, j + r - 1)))
+        if out is None and inc is None:
             new_cells[(i, j)] = cell
             continue
-        if out is None:  # the kernel of a 0-row matrix
-            cycles, free = np.eye(cell.dim, dtype=np.int64), list(range(cell.dim))
-        else:
-            cycles, free = kernel_basis(out, p)
-        boundaries = np.zeros((0, cell.dim), dtype=np.int64) if inc is None else inc.T
-        step = subquotient_of(cycles, boundaries, cell.dim, p, free)
-        new_cells[(i, j)] = Cell(mul_mod(step.quotient_reps, cell.reps, p), cell.steps + (step,))
+        new_cells[(i, j)] = _shared(turned, (id(cell),), (out, inc),
+                                    lambda: _turn_cell(cell, out, inc, p))
     return Page(r=r + 1, N=page.N, cells=new_cells, valid_through=page.valid_through)
+
+
+def _nonzero(d: np.ndarray | None) -> np.ndarray | None:
+    return d if d is not None and d.any() else None
+
+
+def _turn_cell(cell: Cell, out: np.ndarray | None, inc: np.ndarray | None, p: int) -> Cell:
+    """The cell of H(E_r, d_r) at a bidegree with page matrices out and inc
+    (None for zero)."""
+    if out is None:  # the kernel of a zero matrix
+        cycles, free = np.eye(cell.dim, dtype=np.int64), list(range(cell.dim))
+    else:
+        cycles, free = kernel_basis(out, p)
+    boundaries = np.zeros((0, cell.dim), dtype=np.int64) if inc is None else inc.T
+    step = subquotient_of(cycles, boundaries, cell.dim, p, free)
+    _frozen(step.boundary_basis)
+    _frozen(step.quotient_reps)
+    return Cell(mul_mod(step.quotient_reps, cell.reps, p), cell.steps + (step,))
 
 
 def apply_overrides(ctx: EngineContext, page: Page, overrides: list[DifferentialOverride]):
@@ -392,7 +456,7 @@ def apply_overrides(ctx: EngineContext, page: Page, overrides: list[Differential
         _check_override_well_defined(s_cols, v_cols, p)
         # x is zero on the page basis classes outside the sources' span
         x, _ = solve_linear(s_cols, np.eye(cell.dim, dtype=np.int64), p)
-        out[(i, j)] = mul_mod(v_cols, x, p)
+        out[(i, j)] = _frozen(mul_mod(v_cols, x, p))
     return out
 
 
@@ -476,6 +540,8 @@ def expand_rational(numerator, denominator, N: int) -> list[int]:
     Polynomials are integer coefficient lists, constant term first; the
     denominator must have constant term +-1 (so the expansion is integral).
     """
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
     num = list(numerator) + [0] * (N + 1 - len(numerator))
     den = list(denominator)
     if not den or den[0] not in (1, -1):

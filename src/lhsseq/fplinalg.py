@@ -24,9 +24,10 @@ quotient may be one too large) below 2^53, and refuses p > MAX_PRIME =
 2^26, where a chunk would hold a single product.
 
 Crossover.  Under 2^17 entries or 129 columns, one panel: the plain
-loop.  On a 2-core x86 box with one BLAS thread, the 259 eliminations
+loop.  On a 2-core x86 box with one BLAS thread, the 38 eliminations
 of 8,192+ entries in the two ``sseq`` benchmark runs (at most 276 x 276,
-median density 0.5%) took 0.19-0.20 s, or 0.24-0.27 s at 2^14; the
+median density 0.6%), replayed from copies, took 0.05 s, or 0.065 s at
+2^14; the
 order-125 minimal resolution to degree 5 (p = 5, seven eliminations past
 the crossover, from 374 x 500 to 998 x 875) took 0.96-0.99 s with panels
 and 5.0-5.1 s without.

@@ -308,11 +308,42 @@ def test_prime_beyond_exact_arithmetic_errors(tmp_path, capsys):
     # 67108879 is the first prime above 2^26
     spec = tmp_path / "p.cfg"
     spec.write_text('{p: 67108879, kernel_m: 1, quotient: [1], xi: "x1"}')
+    # N=4 is below r_max as well: the spec is read, and refused, first
     assert main(["sseq", "--spec", str(spec), "--max-degree", "4"]) == 2
-    assert _one_line_error(capsys)
+    err = capsys.readouterr().err
+    assert err.startswith("error: p = 67108879 exceeds 2^26") and len(err.strip().splitlines()) == 1
     rc = main(["massey", "--p", "67108879", "--exponents", "1",
                "--a", "y1", "--b", "y1", "--c", "y1"])
     assert rc == 2
+    assert _one_line_error(capsys)
+
+
+def test_sseq_max_degree_below_r_max_errors(capsys):
+    # valid_through = N - r_max < 0 would print an empty series
+    rc = main(["sseq", "--spec", str(CONFIGS / "split_27.cfg"), "--max-degree", "6"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-degree 6 leaves no trusted coefficient")
+    assert "use --max-degree 7 or more" in err and len(err.strip().splitlines()) == 1
+    assert main(["sseq", "--spec", str(CONFIGS / "split_27.cfg"), "--max-degree", "8",
+                 "--r-max", "9"]) == 2
+    assert "use --max-degree 9 or more" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_verify_without_pairs_errors(pairs, capsys):
+    assert main(["verify", "--suite", "products", "--pairs", pairs]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_oracle_pages_without_a_page_errors(capsys):
+    rc = main(["oracle", "--pages", "--spec", str(CONFIGS / "split_27.cfg"), "--r-max", "0"])
+    assert rc == 2
+    assert _one_line_error(capsys)
+
+
+def test_expand_negative_degree_errors(capsys):
+    assert main(["expand", "--num", "1", "--den", "1,-1", "--N", "-1"]) == 2
     assert _one_line_error(capsys)
 
 

@@ -562,3 +562,101 @@ def test_page_subspaces_match_the_fixture(name, seed):
             z = rref(np.concatenate([bnd[(i, j)], cell.reps]), p)[0]
             got[f"{i},{j}"] = f"{_digest(bnd[(i, j)])} {_digest(z)}"
         assert got == SUBSPACES[name][str(r)], (name, r)
+
+
+# ---- rows that share their cells and page matrices -------------------------
+
+
+def _config_with_overrides(name: str):
+    spec = config_spec(name)
+    overrides_file = ROOT / "configs" / f"{name}_overrides.cfg"
+    return spec, parse_overrides(overrides_file.read_text(), spec) if overrides_file.exists() else []
+
+
+def test_interior_rows_share_their_last_page_cells():
+    # d_2, d_3 and d_4 read row j only through j mod 2p, and the override
+    # sources sit below row 2p, so away from the truncation edge the cells
+    # of rows j and j + 2p go through equal steps on every page
+    spec, ovs = _config_with_overrides("extraspecial_27")
+    page = run(spec, 40, overrides=ovs)["pages"][7]
+    period = 2 * spec.p
+    pairs = [(i, j) for (i, j) in page.cells
+             if period <= j and i + j + period <= page.valid_through]
+    assert len(pairs) > 100
+    for i, j in pairs:
+        assert page.cells[(i, j)] is page.cells[(i, j + period)], (i, j)
+
+
+def _content(d):
+    return None if d is None or not d.any() else (d.shape, d.tobytes())
+
+
+def test_turn_page_builds_one_subquotient_per_distinct_triple(monkeypatch):
+    from lhsseq import engine
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return subquotient_of(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "subquotient_of", counting)
+    spec, ovs = _config_with_overrides("extraspecial_27")
+    ctx = EngineContext(spec, 24)
+    page = _init_page(ctx)
+    shared = 0
+    while page.r < 7:
+        r = page.r
+        diffs = differential_matrix(ctx, page, r) if r < 5 else apply_overrides(ctx, page, ovs)
+        triples = [
+            (id(cell), _content(diffs.get((i, j))), _content(diffs.get((i - r, j + r - 1))))
+            for (i, j), cell in page.cells.items()
+        ]
+        changed = [t for t in triples if t[1:] != (None, None)]
+        calls.clear()
+        page = engine.turn_page(ctx, page, diffs)
+        assert len(calls) == len(set(changed)), r
+        shared += len(changed) - len(set(changed))
+    assert shared > 100
+
+
+@pytest.mark.parametrize("seed,next_draw", [(0, 244911223), (3, 24504130)])
+def test_randomized_runs_draw_once_per_bidegree(seed, next_draw, monkeypatch):
+    # with an rng, d_r is not shared between rows: every bidegree with a
+    # target draws its own d_4 choices, so the stream (and with it every
+    # randomized report) is the one an engine without sharing consumed;
+    # next_draw was recorded from such an engine
+    from lhsseq import engine
+
+    calls = []
+    formula_value = engine._formula_value
+
+    def counting(ctx, r, i, j, reps):
+        calls.append((r, i, j))
+        return formula_value(ctx, r, i, j, reps)
+
+    monkeypatch.setattr(engine, "_formula_value", counting)
+    spec, ovs = _config_with_overrides("extraspecial_27")
+    rng = np.random.RandomState(seed)
+    pages = run(spec, 16, overrides=ovs, rng=rng)["pages"]
+    want = [(r, i, j) for r in (2, 3, 4) for (i, j), cell in pages[r].cells.items()
+            if cell.dim and (i + r, j - r + 1) in pages[r].cells]
+    assert sorted(calls) == sorted(want)
+    assert rng.randint(0, 1 << 30) == next_draw
+
+
+def test_shared_arrays_are_read_only():
+    spec, ovs = _config_with_overrides("extraspecial_27")
+    page = run(spec, 20, overrides=ovs, r_max=5)["pages"][5]
+    cells = list(page.cells.values())
+    cell = max((c for c in cells if c.steps), key=lambda c: sum(c is d for d in cells))
+    assert sum(cell is d for d in cells) > 1 and cell.steps
+    with pytest.raises(ValueError):
+        cell.reps[0, 0] = 1
+    for a in (cell.steps[-1].boundary_basis, cell.steps[-1].quotient_reps):
+        with pytest.raises(ValueError):
+            a[...] = 0
+    ctx = EngineContext(spec, 20)
+    diffs = differential_matrix(ctx, _init_page(ctx), 2)
+    with pytest.raises(ValueError):
+        diffs[(1, 1)][...] = 0
