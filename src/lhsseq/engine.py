@@ -24,9 +24,10 @@ products with surviving base-row classes), again one solve per bidegree,
 in page coordinates.  Both kinds reach turn_page as page matrices.
 
 Rows the formulas cannot tell apart share their work.  The formulas read
-row j = 2k + eps only through k mod p and eps, so within one call
-differential_matrix builds one page matrix per (i, k mod p, eps, source
-cell object, target cell object), and turn_page one new cell per (old
+row j = 2k + eps only through eps (d_2) or k mod p and eps (d_3, d_4),
+so within one call differential_matrix builds one page matrix per (i,
+eps, source cell object, target cell object), and for r > 2 per k mod p
+as well, and turn_page one new cell per (old
 cell object, outgoing matrix, incoming matrix), the matrices compared by
 content.  Every E_2 row is the same cell, so away from the truncation
 edge the cells of rows j and j + 2p stay one object on every page.  A
@@ -342,10 +343,11 @@ def differential_matrix(ctx: EngineContext, page: Page, r: int):
     """Per-bidegree d_r: {(i, j): page matrix}, mapping source page
     coordinates to target page coordinates.
 
-    The formulas read row j = 2k + eps only through k mod p and eps, so
-    without an rng one read-only matrix serves every bidegree with the same
-    (i, k mod p, eps, source cell, target cell).  With an rng each bidegree
-    draws its own d_4 choices, in the order it always has."""
+    The formulas read row j = 2k + eps only through eps (d_2) or k mod p
+    and eps (d_3, d_4), so without an rng one read-only matrix serves every
+    bidegree with the same (i, eps, source cell, target cell), and for
+    r > 2 the same k mod p.  With an rng each bidegree draws its own d_4
+    choices, in the order it always has."""
     if r != page.r:
         raise EngineError(f"page is at r={page.r}, asked for d_{r}")
     out, built = {}, {}
@@ -356,7 +358,8 @@ def differential_matrix(ctx: EngineContext, page: Page, r: int):
             # or beyond the truncation, where valid_through already rules
             continue
         k, eps = divmod(j, 2)
-        key = (i, k % ctx.p, eps, id(cell), id(tgt))
+        # d_2 reads only eps; d_3 and d_4 read k mod p as well
+        key = (i, eps if r == 2 else (k % ctx.p, eps), id(cell), id(tgt))
         if ctx.rng is not None or key not in built:
             images = _formula_value(ctx, r, i, j, cell.reps)
             built[key] = _frozen(np.zeros((tgt.dim, cell.dim), dtype=np.int64) if images is None

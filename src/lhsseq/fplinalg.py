@@ -21,20 +21,28 @@ mod-p reduction delayed: a sum of k products of residues plus one
 residue is at most k(p-1)^2 + (p-1), exact below 2^53.  It cuts the
 inner dimension into chunks that keep that sum plus p (the reduction's
 quotient may be one too large) below 2^53, and refuses p > MAX_PRIME =
-2^26, where a chunk would hold a single product.
+2^26, where a chunk would hold a single product.  The column loop
+delays its reduction too, in int64: multipliers and pivot rows are
+reduced before use, so k row updates leave an entry at most
+(p-1) + k(p-1)^2 in absolute value.  A panel takes at most 362 pivots
+(64 when blocked, else at most 128 columns or fewer than 2^17 entries),
+and 362(p-1)^2 + p < 2^63 holds up to p = 2^26; ``_eliminate`` refuses
+any p where it fails.
 
 Crossover.  Under 2^17 entries or 129 columns, one panel: the plain
-loop.  On a 2-core x86 box with one BLAS thread, the 38 eliminations
-of 8,192+ entries in the two ``sseq`` benchmark runs (at most 276 x 276,
-median density 0.6%), replayed from copies, took 0.05 s, or 0.065 s at
-2^14; the
-order-125 minimal resolution to degree 5 (p = 5, seven eliminations past
-the crossover, from 374 x 500 to 998 x 875) took 0.96-0.99 s with panels
-and 5.0-5.1 s without.
+loop.  On a 2-core x86 box with one BLAS thread, replayed from copies
+(five runs each): the 38 eliminations of 8,192+ entries in the two
+``sseq`` benchmark runs (at most 276 x 276, median density 0.6%) took
+0.039-0.049 s, and 0.049-0.062 s with the crossover at 2^14; the 26 of
+``compare`` (at most 376 x 324) took 0.11-0.15 s, and 0.13-0.18 s at
+2^14; the order-125 minimal resolution to degree 5 (p = 5, 14
+eliminations of 8,192+ entries, eight past the crossover, up to 998 x
+875) took 0.45-0.54 s with panels and 1.78-1.97 s without.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +70,13 @@ _BLOCK_MIN_ENTRIES = 1 << 17
 _PANEL = 64
 # Rows of a deferred update per product: about 1 MB of float64.
 _SLAB_ENTRIES = 1 << 17
+# Most pivots one panel of the column loop takes: _PANEL when blocked,
+# else at most 2 * _PANEL columns or fewer than _BLOCK_MIN_ENTRIES
+# entries, so min(rows, cols) <= 362.
+_LOOP_PIVOTS = max(2 * _PANEL, math.isqrt(_BLOCK_MIN_ENTRIES - 1))
+# Row updates of fewer entries are reduced mod p at once while the panel
+# is still clean (all residues).
+_CLEAN_UPDATE = 512
 
 MAX_PRIME = 1 << 26
 DEFAULT_BUDGET = 1 << 27  # entries: 1 GiB as int64
@@ -138,7 +153,16 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     pivot_cols) in pivot order.  a[pivot_rows] is the RREF, the other rows
     end zero, and the pairs are the rank profile matrix: each column, left
     to right, takes the topmost unused row with a nonzero entry.
+
+    Row updates x -= f * pivot_row run without a mod-p reduction: only
+    the pivot column (before it is searched for a pivot), the pivot row
+    (before it is normalised) and, once, the whole panel at its end are
+    reduced, so every entry stays below _LOOP_PIVOTS (p-1)^2 + p < 2^63
+    (module docstring); LinAlgError for any p where that bound fails.  A
+    panel whose updates are all small is kept reduced instead.
     """
+    if _LOOP_PIVOTS * (p - 1) ** 2 + p >= 1 << 63:
+        raise LinAlgError(f"p = {p} overflows the int64 bound of the elimination loop")
     n_rows, n_cols = a.shape
     blocked = n_rows * n_cols >= _BLOCK_MIN_ENTRIES and n_cols > 2 * _PANEL
     width = _PANEL if blocked else max(n_cols, 1)
@@ -149,43 +173,71 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
         if len(piv_rows) == n_rows:
             break
         c1 = min(c0 + width, n_cols)
-        # rows free at the panel's start; the others (earlier pivot rows)
-        # are left to the deferred update, panel columns included
-        live = free.copy()
-        panel = a[:, c0:c1].copy() if blocked else None
+        # The loop works on w: all of a when there is one panel, else a
+        # C-contiguous copy of the panel part of the rows free at the
+        # panel's start (w_rows; w_free is indexed like w's rows).  The
+        # other rows, earlier pivot rows, are stale: left to the deferred
+        # update, panel columns included.
+        if blocked:
+            stale = ~free
+            w_rows = np.flatnonzero(free)
+            w = a[w_rows, c0:c1]
+            w_free = np.ones(w_rows.size, dtype=bool)
+        else:
+            w, w_rows, w_free = a, None, free
         first = len(piv_rows)
-        for col in range(c0, c1):
-            nz = a[:, col].nonzero()[0]
-            cand = nz[free[nz]]
+        dirty = False  # a row update has run: w may hold non-residues
+        for j in range(c1 - c0):
+            col = w[:, j]
+            if dirty:
+                np.remainder(col, p, out=col)
+            nz = col.nonzero()[0]
+            cand = nz[w_free[nz]]
             if not cand.size:
                 continue
             row = int(cand[0])
-            free[row] = False
-            if a[row, col] != 1:
-                a[row, col:c1] = (a[row, col:c1] * pow(int(a[row, col]), p - 2, p)) % p
-            touched = nz[live[nz] & (nz != row)]
+            w_free[row] = False
+            pivot = w[row, j:]
+            if dirty:
+                np.remainder(pivot, p, out=pivot)
+            if pivot[0] != 1:
+                pivot *= pow(int(pivot[0]), p - 2, p)
+                np.remainder(pivot, p, out=pivot)
+            touched = nz[nz != row]
             if touched.size:
-                a[touched, col:c1] = (
-                    a[touched, col:c1] - a[touched, col, None] * a[row, col:c1]
-                ) % p
-            piv_rows.append(row)
-            piv_cols.append(col)
+                block = w[touched, j:]
+                block -= col[touched, None] * pivot
+                # a small block is cheaper to reduce now than to leave the
+                # panel dirty, which costs two reductions per later column
+                if dirty or block.size >= _CLEAN_UPDATE:
+                    dirty = True
+                else:
+                    np.remainder(block, p, out=block)
+                w[touched, j:] = block
+            piv_rows.append(row if w_rows is None else int(w_rows[row]))
+            piv_cols.append(c0 + j)
             if len(piv_rows) == n_rows:
                 break
-        if blocked and len(piv_rows) > first:
-            _update_deferred(a, panel, piv_rows[first:],
-                             [c - c0 for c in piv_cols[first:]], ~live, c0, c1, p)
+        if dirty:
+            np.remainder(w, p, out=w)
+        if blocked and len(piv_rows) > first:  # else w is unchanged
+            # the pivot columns as they were before the panel: a itself
+            # is not written until the loop's rows go back into it
+            coef = a[:, piv_cols[first:]]
+            a[w_rows, c0:c1] = w
+            free[w_rows] = w_free
+            _update_deferred(a, coef, piv_rows[first:], stale, c0, c1, p)
     return piv_rows, piv_cols
 
 
-def _update_deferred(a, panel, rows, cols, stale, c0, c1, p) -> None:
-    """Finish one panel: panel is a[:, c0:c1] before it, rows/cols its
-    pivots, stale the rows its loop skipped.  The pivot rows become
-    W = panel[rows][:, cols]^-1 a[rows, c0:] (the loop made their panel
-    part) and each other row r with panel[r, cols] != 0 becomes
-    a[r] - panel[r, cols] W, from column c1 on, or c0 on if stale.
+def _update_deferred(a, coef, rows, stale, c0, c1, p) -> None:
+    """Finish one panel of columns c0:c1: coef is a[:, cols] before it,
+    (rows, cols) its pivots, stale the rows its loop skipped (coef is
+    overwritten).  The pivot rows become W = coef[rows]^-1 a[rows, c0:]
+    (the loop made their panel part) and each other row r with
+    coef[r] != 0 becomes a[r] - coef[r] W, from column c1 on, or c0 on
+    if stale.
     """
-    coef = panel[:, cols]
     top = a[rows, c1:]
     k = len(rows)
     if top.size and not np.array_equal(coef[rows], np.eye(k, dtype=np.int64)):

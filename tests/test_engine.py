@@ -353,18 +353,27 @@ def test_override_r_must_be_at_least_five():
         )
 
 
-def test_override_source_must_survive():
+def _run_with_override(line):
     spec = make_spec("y1*y2", 1, 1)
-    # u dies at page 2 (d2(u) = xi != 0), so a d5 from (0,1)+... use
-    # t^2*u*y1 which dies: xi * y1 != 0? y1*y2*y1 = 0, so t^2 u y1 survives
-    # page 2; instead use an element killed earlier: t^2*u (chi = 1, xi*1 != 0)
-    bad = """d5 | t^2*u*x1 | u*x1^4 + x1^3*y1*y2 | bogus"""
-    # bidegree check first: source (2,5) -> target (7,1): u*x1^4 hmm wrong
-    ovs = None
-    with pytest.raises(Exception):
-        ovs = parse_overrides(bad, spec)
-        result = run(spec, 14, overrides=ovs)
+    run(spec, 14, overrides=parse_overrides(line, spec))
 
+
+def test_override_source_outside_the_computed_range_is_rejected():
+    # the case f d5 moved up eight rows: its source (3, 20) is past N = 14
+    with pytest.raises(EngineError, match=r"source \(3, 20\) is outside the computed range"):
+        _run_with_override("d5 | t^10*x1*y2 - t^10*x2*y1 | t^8*x1^3*x2 - t^8*x2^3*x1 | past N")
+
+
+def test_override_source_that_dies_before_the_page_is_rejected():
+    # d2(t^2 u) = t^2 xi != 0, so t^2 u is not a page-5 class
+    with pytest.raises(EngineError, match=r"t\^2\*u does not survive to page 5"):
+        _run_with_override("d5 | t^2*u | u*x1^2*y1 | killed by d2")
+
+
+def test_override_source_that_is_zero_on_the_page_is_rejected():
+    # t^2 xi = d2(t^2 u) is a boundary: a cycle, but zero from page 3 on
+    with pytest.raises(EngineError, match=r"\*t\^2 is zero on page 5"):
+        _run_with_override("d5 | t^2*y1*y2 | x1^3*y1 | a boundary")
 
 
 def test_override_with_two_values_is_rejected():

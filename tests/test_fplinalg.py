@@ -224,6 +224,14 @@ def test_float_product_refuses_p_past_two_to_the_26():
         mul_mod(ok, ok, 67108879, ok)
 
 
+def test_elimination_refuses_p_past_its_int64_bound():
+    # the column loop delays its reduction: 362 (p-1)^2 + p must stay below 2^63
+    eye = np.eye(2, dtype=np.int64)
+    assert rref(eye, 67108879)[1] == [0, 1]
+    with pytest.raises(LinAlgError, match="int64 bound"):
+        rref(eye, 1 << 28)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 2097143])
 def test_float_reduction_is_exact_next_to_multiples_of_p(p):
     # near 2^53, x * (1/p) rounds across an integer both ways (p = 5 and

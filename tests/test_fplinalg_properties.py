@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lhsseq.fplinalg import (
     LinAlgError,
+    _eliminate,
     kernel_basis,
     mul_mod,
     rank,
@@ -67,14 +68,44 @@ def matrices(draw, shapes):
     return m, p
 
 
-@SETTINGS
-@given(matrices(st.one_of(TINY, SMALL, AT_CROSSOVER, LARGE)))
-def test_rref_equals_reference_on_both_sides_of_the_crossover(case):
-    m, p = case
+def assert_rref_equals_reference(m, p):
+    """rref(m) equals the reference, and so does _eliminate in place:
+    rank_profile relies on it leaving residues everywhere, the RREF in the
+    pivot rows and zero in the others."""
     r, pivots = rref(m, p)
     want, want_pivots = reference_rref(m, p)
     assert pivots == want_pivots
     assert r.shape == want.shape and (r == want).all()
+    a = m.copy()
+    piv_rows, piv_cols = _eliminate(a, p)
+    assert piv_cols == want_pivots
+    assert ((a >= 0) & (a < p)).all()
+    assert (a[piv_rows] == want).all()
+    assert not np.delete(a, piv_rows, axis=0).any()
+
+
+@SETTINGS
+@given(matrices(st.one_of(TINY, SMALL, AT_CROSSOVER, LARGE)))
+def test_rref_equals_reference_on_both_sides_of_the_crossover(case):
+    assert_rref_equals_reference(*case)
+
+
+# p = 67108859, the largest prime below MAX_PRIME = 2^26, is the worst case
+# of the column loop's int64 bound 362 (p-1)^2 + p < 2^63.  (rows, cols,
+# rank): one plain panel of the full 362 pivots (362 x 362 is under 2^17),
+# the plain path at 128 columns, and blocked ones, some with zero rows left
+@pytest.mark.parametrize("rows, cols, k", [
+    (362, 362, 362), (362, 362, 250), (300, 128, 128),
+    (362, 363, 362), (440, 300, 300), (300, 440, 300), (420, 400, 280),
+])
+def test_rref_equals_reference_at_the_largest_prime(rows, cols, k):
+    p = 67108859
+    rng = np.random.RandomState(rows * 1000 + cols + k)
+    m = _random(rng, p, (rows, cols))
+    if k < min(rows, cols):
+        m = mul_mod(m[:, :k], _random(rng, p, (k, cols)), p)
+    assert rank(m, p) == k
+    assert_rref_equals_reference(m, p)
 
 
 @SETTINGS
