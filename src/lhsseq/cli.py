@@ -248,14 +248,10 @@ def cmd_massey(args) -> int:
 
 
 def _verify_products(rng, pairs, budget):
-    from .cohomology import CohoClass
-    from .extensions import ExtensionSpec
     from .verifier import build_double_complex, derivation_residual, twist_residual
 
     results = {}
-    for p in (2, 3):
-        q = AbelianPGroupSpec(p, (1,))
-        spec = ExtensionSpec(p=p, kernel_m=1, quotient=q, xi=CohoClass.x(q, 0))
+    for _, spec in _test_extensions(slow=False):
         cx = build_double_complex(spec, 3, budget=budget)
         worst_a = worst_d = worst_t = 0
         done = 0
@@ -272,9 +268,9 @@ def _verify_products(rng, pairs, budget):
             lhs = cx.product(cx.product(phi, theta, "cup"), rho, "cup")
             rhs = cx.product(phi, cx.product(theta, rho, "cup"), "cup")
             worst_a = max(worst_a, (lhs - rhs).max_residual())
-        results[f"cup-associativity-p{p}"] = worst_a
-        results[f"derivation-property-p{p}"] = worst_d
-        results[f"twisted-product-p{p}"] = worst_t
+        results[f"cup-associativity-p{spec.p}"] = worst_a
+        results[f"derivation-property-p{spec.p}"] = worst_d
+        results[f"twisted-product-p{spec.p}"] = worst_t
     return results
 
 

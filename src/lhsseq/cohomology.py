@@ -20,6 +20,7 @@ from math import comb
 
 import numpy as np
 
+from .fplinalg import solve_linear
 from .groups import AbelianPGroupSpec, GroupError
 
 __all__ = [
@@ -90,10 +91,10 @@ class CohoClass:
 
     @classmethod
     def monomial(cls, group, eps, pows, coeff: int = 1) -> "CohoClass":
-        mon, sign = _reduce_monomial(group, tuple(eps), tuple(pows))
+        mon = _reduce_monomial(group, tuple(eps), tuple(pows))
         if mon is None:
             return cls.zero(group)
-        return cls(group, {mon: coeff * sign})
+        return cls(group, {mon: coeff})
 
     @classmethod
     def y(cls, group, i: int) -> "CohoClass":
@@ -196,7 +197,7 @@ def _reduce_monomial(group, eps, pows):
     """Apply y_i^2 = x_i (p^{m_i}=2) or y_i^2 = 0 reductions.
 
     eps entries may exceed 1 transiently during multiplication.  Returns
-    (monomial, sign) or (None, 0) when the monomial dies.
+    the monomial, or None when it dies.
     """
     eps = list(eps)
     pows = list(pows)
@@ -206,8 +207,8 @@ def _reduce_monomial(group, eps, pows):
                 pows[i] += e // 2
                 eps[i] = e % 2
             else:
-                return None, 0
-    return (tuple(eps), tuple(pows)), 1
+                return None
+    return tuple(eps), tuple(pows)
 
 
 def _koszul_sign(eps1, eps2) -> int:
@@ -235,10 +236,10 @@ def cup(a: CohoClass, b: CohoClass) -> CohoClass:
             sign = _koszul_sign(e1, e2)
             eps = tuple(u + v for u, v in zip(e1, e2))
             pows = tuple(u + v for u, v in zip(a1, a2))
-            mon, s2 = _reduce_monomial(group, eps, pows)
+            mon = _reduce_monomial(group, eps, pows)
             if mon is None:
                 continue
-            terms[mon] = terms.get(mon, 0) + sign * s2 * c1 * c2
+            terms[mon] = terms.get(mon, 0) + sign * c1 * c2
     deg = a.degree + b.degree
     return CohoClass(group, terms, deg)
 
@@ -394,26 +395,12 @@ class MasseyResult:
         """True when the representative lies in the indeterminacy span."""
         if self.representative.is_zero():
             return True
-        group = self.representative.group
-        deg = self.representative.degree
-        basis = monomial_basis(group, deg)
-        index = {m: i for i, m in enumerate(basis)}
-
-        def vec(cls):
-            v = np.zeros(len(basis), dtype=np.int64)
-            for m, c in cls.terms.items():
-                v[index[m]] = c
-            return v
-
-        from .fplinalg import rank as fp_rank
-
-        span = [vec(c) for c in self.indeterminacy_basis]
-        if not span:
+        if not self.indeterminacy_basis:
             return False
-        m = np.array(span)
-        return fp_rank(m, group.p) == fp_rank(
-            np.concatenate([m, vec(self.representative).reshape(1, -1)]), group.p
-        )
+        rep = self.representative
+        ring = RingContext(rep.group)
+        span = np.array([ring.to_vector(c, rep.degree) for c in self.indeterminacy_basis])
+        return solve_linear(span.T, ring.to_vector(rep), rep.group.p) is not None
 
 
 def massey_triple(a: CohoClass, b: CohoClass, c: CohoClass) -> MasseyResult:

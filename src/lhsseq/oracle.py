@@ -267,28 +267,20 @@ class _HomDoubleComplex:
         return np.kron(self.p_adjoint(i), np.eye(self.b(j), dtype=np.int64))
 
     def d0_block(self, i: int, j: int) -> np.ndarray:
-        """(i, j) -> (i, j+1), adjoint of (-1)^i times the Q differential."""
+        """(i, j) -> (i, j+1), adjoint of (-1)^i times the Q differential: entry
+        ((g, alpha, beta'), (g', alpha, beta)) is (-1)^i F[g g'^-1, beta', beta],
+        where F[x, beta', beta] sums the coefficients of e gen_beta in
+        d(gen_beta') over the e with pi(e) = x."""
         rows, cols = self.dim(i, j + 1), self.dim(i, j)
-        m = np.zeros((rows, cols), dtype=np.int64)
         if rows == 0 or cols == 0:
-            return m
-        sign = -1 if i % 2 else 1
-        ai = self.a(i)
-        ginv = self.G.inv
-        gmul = self.G.mul
-        bj, bj1 = self.b(j), self.b(j + 1)
-        g_arr = np.repeat(np.arange(self.ng), ai)
-        al_arr = np.tile(np.arange(ai), self.ng)
-        for bp in range(bj1):
-            for bl in range(bj):
-                vec = self.Q.entry(j + 1, bl, bp)
-                for e_elt in np.nonzero(vec)[0]:
-                    c = int(vec[e_elt]) * sign
-                    src_g = gmul[ginv[int(self.pi[e_elt])], g_arr]
-                    rows_idx = (g_arr * ai + al_arr) * bj1 + bp
-                    cols_idx = (src_g * ai + al_arr) * bj + bl
-                    m[rows_idx, cols_idx] = (m[rows_idx, cols_idx] + c) % self.p
-        return m
+            return np.zeros((rows, cols), dtype=np.int64)
+        ne, bj, bj1 = self.E.order, self.b(j), self.b(j + 1)
+        d = self.Q.differentials[j][:, self.E.identity :: ne].reshape(bj, ne, bj1)
+        f = np.zeros((self.ng, bj1, bj), dtype=np.int64)
+        np.add.at(f, self.pi, d.transpose(1, 2, 0))
+        f = f[self.G.mul[:, self.G.inv]]  # [g, g', beta', beta]
+        m = np.einsum("xypq,ab->xapybq", f, np.eye(self.a(i), dtype=np.int64))
+        return ((-1) ** i * m.reshape(rows, cols)) % self.p
 
 
 @dataclass

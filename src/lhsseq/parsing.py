@@ -87,7 +87,7 @@ def _parse_term(sign, factors, group, allow_kernel):
     while k < len(factors):
         kind, val = factors[k]
         power = 1
-        if k + 2 < len(factors) + 1 and k + 1 < len(factors):
+        if k + 1 < len(factors):
             nk, nv = factors[k + 1]
             if kind != "op" and nk == "op" and nv == "^":
                 if k + 2 >= len(factors) or factors[k + 2][0] != "int":
@@ -124,42 +124,30 @@ def _parse_term(sign, factors, group, allow_kernel):
 
 def parse_class(text: str, group: AbelianPGroupSpec) -> CohoClass:
     """Parse an expression in y/x generators into a CohoClass."""
-    cls, rows = _parse_sum(text, group, allow_kernel=False)
-    return cls
-
-
-def _parse_sum(text: str, group: AbelianPGroupSpec, allow_kernel: bool):
-    tokens = _tokenize(text)
-    base_total = CohoClass.zero(group)
-    rows: dict[int, CohoClass] = {}
-    for sign, factors in _split_terms(tokens):
-        coeff, eps, pows, t_pow, u_pow = _parse_term(sign, factors, group, allow_kernel)
-        mono = CohoClass.monomial(group, eps, pows, coeff)
-        j = 2 * t_pow + u_pow
-        if u_pow > 1:
-            raise ParseError("u^2 vanishes for odd kernels; write t instead")
-        if j == 0:
-            base_total = base_total + mono
-        rows[j] = rows.get(j, CohoClass.zero(group)) + mono
-    return base_total, rows
+    return _parse_rows(text, group).get(0, CohoClass.zero(group))
 
 
 def parse_e2(text: str, spec: ExtensionSpec) -> E2Element:
     """Parse a starting-page expression (t/u symbols allowed)."""
-    group = spec.quotient
-    tokens = _tokenize(text)
+    rows = _parse_rows(text, spec.quotient, spec.kernel_order)
+    return E2Element(spec=spec, rows={j: c for j, c in rows.items() if not c.is_zero()})
+
+
+def _parse_rows(text: str, group: AbelianPGroupSpec, kernel_order: int | None = None):
+    """{j: the quotient class multiplying the kernel monomial of degree j}; the
+    kernel symbols t and u are allowed only when kernel_order is given."""
     rows: dict[int, CohoClass] = {}
-    for sign, factors in _split_terms(tokens):
-        coeff, eps, pows, t_pow, u_pow = _parse_term(sign, factors, group, True)
+    for sign, factors in _split_terms(_tokenize(text)):
+        coeff, eps, pows, t_pow, u_pow = _parse_term(sign, factors, group, kernel_order is not None)
         if u_pow > 1:
-            if spec.kernel_order == 2:
+            if kernel_order == 2:
                 t_pow, u_pow = t_pow + u_pow // 2, u_pow % 2
             else:
                 raise ParseError("u^2 = 0 for kernels of order > 2")
         mono = CohoClass.monomial(group, eps, pows, coeff)
         j = 2 * t_pow + u_pow
         rows[j] = rows.get(j, CohoClass.zero(group)) + mono
-    return E2Element(spec=spec, rows={j: c for j, c in rows.items() if not c.is_zero()})
+    return rows
 
 
 _RECORD = re.compile(r"^\s*\{(.*)\}\s*$", re.S)

@@ -15,6 +15,28 @@ Convention notes (the self-test suite pins these):
     = phi(x) theta(y) (the sign variant breaks the derivation property
     of d_0/d_1 over the cup product, which the ladder identities need);
   * the middle-swap tau carries (-1)^{(degree swapped P piece)(degree Q piece)}.
+
+Products.  The five products of a in (i1, j1) and b in (i2, j2) share one
+rule: each kind picks a split of the target digits on the P side
+(s_1..s_ti) and one on the Q side (e_1..e_tj), after Steenrod's cup-i
+construction (Ann. Math. 48, 1947):
+
+    cup (ab, ab)   wedge (ba, ab)   twist (ba, ba)
+    cup10 (cup1, ab), landing in (i1+i2-1, j1+j2)
+    cup01 (ba, cup1), landing in (i1+i2, j1+j2-1)
+
+On a side with digits d_1..d_t, where a has degree m and b degree n, and
+d_0 the identity, a piece relative to the anchor x reads x^-1 d for its d:
+  * ab: a reads d_1..d_m, b reads d_{m+1}..d_t relative to d_m; exponent 0;
+  * ba: b reads d_1..d_n, a reads d_{n+1}..d_t relative to d_n; exponent mn;
+  * cup1 (t = m+n-1, none when n = 0): one term per k < m, with c = k+n: a
+    reads d_1..d_k d_c..d_t, b reads d_{k+1}..d_c relative to d_k;
+    exponent t + (t-k-1)(c-k-1).
+The product is the sum, over each pair of a P term and a Q term, of
+sign a(g_a, .) b(g_b, .): g_f is g, times s_anchor on the right when f reads
+P's relative piece, and times pi(e_anchor)^-1 on the left when f reads Q's.
+The sign is (-1) to the sum of the two sides' exponents, i2 j1 for the
+middle swap, and ti when the cup1 split is on the Q side.
 """
 
 from __future__ import annotations
@@ -46,7 +68,10 @@ __all__ = [
     "PRODUCT_KINDS",
 ]
 
-PRODUCT_KINDS = ("cup", "wedge", "cup10", "cup01", "twist")
+# the split of each product kind on the P side and on the Q side
+_SPLITS = {"cup": ("ab", "ab"), "wedge": ("ba", "ab"), "cup10": ("cup1", "ab"),
+           "cup01": ("ba", "cup1"), "twist": ("ba", "ba")}
+PRODUCT_KINDS = tuple(_SPLITS)
 
 
 @dataclass
@@ -307,21 +332,6 @@ class BarDoubleComplex:
 
     # -- products ----------------------------------------------------------
 
-    def _prefix(self, tuples: np.ndarray, base: int, length: int, keep: int):
-        return tuples // base ** (length - keep)
-
-    def _anchor(self, digits: np.ndarray, a: int, identity: int):
-        if a == 0:
-            return np.full(digits.shape[0], identity, dtype=np.int64)
-        return digits[:, a - 1]
-
-    def _rel_suffix(self, digits, anchor, start, stop, base_pows, mul, inv):
-        """Mixed-radix index of (anchor^{-1} d_start, ..., anchor^{-1} d_{stop-1})."""
-        if start >= stop:
-            return np.zeros(digits.shape[0], dtype=np.int64)
-        rel = mul[inv[anchor][:, None], digits[:, start:stop]]
-        return rel @ base_pows[: stop - start][::-1]
-
     def product(self, a: E0Cochain, b: E0Cochain, kind: str) -> E0Cochain:
         """One of the five chain-level products; see the module docstring.
 
@@ -329,111 +339,50 @@ class BarDoubleComplex:
         """
         if kind not in PRODUCT_KINDS:
             raise GroupError(f"unknown product kind {kind!r}")
-        i1, j1, i2, j2 = a.i, a.j, b.i, b.j
-        if kind == "cup10":
-            ti, tj = i1 + i2 - 1, j1 + j2
-        elif kind == "cup01":
-            ti, tj = i1 + i2, j1 + j2 - 1
-        else:
-            ti, tj = i1 + i2, j1 + j2
+        p_split, q_split = _SPLITS[kind]
+        ti = a.i + b.i - (p_split == "cup1")
+        tj = a.j + b.j - (q_split == "cup1")
         if ti < 0 or tj < 0:
             raise GroupError("product lands in a negative bidegree")
         if ti + tj > self.bound + 2:
             raise GroupError("product exceeds the stored bidegree bound")
         check_budget(self.dim(ti, tj) * max(ti, tj, 1), self.budget,
                      f"a product in bidegree ({ti}, {tj})")
-        p = self.p
-        ng, ne = self.ng, self.ne
+        ng, ne, mul, inv = self.ng, self.ne, self.G.mul, self.G.inv
         g, s, q = self._split_index(ti, tj)
-        sdig = self._tuple_digits(ng, ti)[s] if ti else np.zeros((len(g), 0), dtype=np.int64)
-        qdig = self._tuple_digits(ne, tj)[q] if tj else np.zeros((len(g), 0), dtype=np.int64)
-        gpow = ng ** np.arange(max(ti, 1))
-        epow = ne ** np.arange(max(tj, 1))
+        value = lambda c, x, pk, qk: c.values[(x * ng**c.i + pk) * ne**c.j + qk]
+        q_terms = list(_split_terms(q_split, self._tuple_digits(ne, tj)[q], a.j, b.j, self.E))
         out = np.zeros(len(g), dtype=np.int64)
-        Gm, Gi = self.G.mul, self.G.inv
-        Em, Ei = self.E.mul, self.E.inv
-        eg, ee = self.G.identity, self.E.identity
+        for pa, pb, s_anchor, p_exp, p_rel in _split_terms(
+                p_split, self._tuple_digits(ng, ti)[s], a.i, b.i, self.G):
+            for qa, qb, e_anchor, q_exp, q_rel in q_terms:
+                x = {"a": g, "b": g}
+                x[p_rel] = mul[x[p_rel], s_anchor]
+                x[q_rel] = mul[inv[self.pi[e_anchor]], x[q_rel]]
+                sign = (-1) ** (p_exp + q_exp + b.i * a.j + ti * (q_split == "cup1"))
+                out += sign * value(a, x["a"], pa, qa) * value(b, x["b"], pb, qb)
+        return E0Cochain(self, ti, tj, out % self.p)
 
-        def pvalue(c: E0Cochain, gg, ss, qq):
-            return c.values[(gg * ng**c.i + ss) * ne**c.j + qq]
 
-        if kind in ("cup", "wedge", "twist"):
-            a_split, b_split = i1, j1
-            if kind == "wedge":
-                a_split, b_split = i2, j1
-            if kind == "twist":
-                a_split, b_split = i2, j2
-            asp, bsp = a_split, b_split
-            s_anchor = self._anchor(sdig, asp, eg)
-            e_anchor = self._anchor(qdig, bsp, ee)
-            s_pre = self._prefix(s, ng, ti, asp)
-            e_pre = self._prefix(q, ne, tj, bsp)
-            s_rel = self._rel_suffix(sdig, s_anchor, asp, ti, gpow, Gm, Gi)
-            e_rel = self._rel_suffix(qdig, e_anchor, bsp, tj, epow, Em, Ei)
-            pi_anchor = self.pi[e_anchor]
-            if kind == "cup":
-                sign = -1 if (i2 * j1) % 2 else 1
-                va = pvalue(a, g, s_pre, e_pre)
-                gb = Gm[Gi[pi_anchor], Gm[g, s_anchor]]
-                vb = pvalue(b, gb, s_rel, e_rel)
-            elif kind == "wedge":
-                sign = -1 if (i2 * i1 + i2 * j1) % 2 else 1
-                va = pvalue(a, Gm[g, s_anchor], s_rel, e_pre)
-                vb = pvalue(b, Gm[Gi[pi_anchor], g], s_pre, e_rel)
-            else:  # twist: (-1)^{|P1||P2| + |Q1||Q2| + |P1||Q2|}
-                sign = -1 if (i1 * i2 + j1 * j2 + i2 * j1) % 2 else 1
-                va = pvalue(a, Gm[Gi[pi_anchor], Gm[g, s_anchor]], s_rel, e_rel)
-                vb = pvalue(b, g, s_pre, e_pre)
-            out = (out + sign * va * vb) % p
-            return E0Cochain(self, ti, tj, out)
-
-        if kind == "cup10":
-            # Steenrod split on the P side at (aa < cc), plain split on Q
-            bsp = j1
-            e_anchor = self._anchor(qdig, bsp, ee)
-            e_pre = self._prefix(q, ne, tj, bsp)
-            e_rel = self._rel_suffix(qdig, e_anchor, bsp, tj, epow, Em, Ei)
-            pi_anchor = self.pi[e_anchor]
-            for aa in range(0, i1):
-                cc = aa + i2
-                if cc > ti or cc <= aa:
-                    continue
-                # outer piece: digits 0..aa-1 then cc..ti-1 (i1 digits)
-                outer = np.zeros(len(g), dtype=np.int64)
-                # label digits s_1..s_aa then s_cc..s_ti (digit index m-1 for s_m)
-                for k in list(range(aa)) + list(range(cc - 1, ti)):
-                    outer = outer * ng + sdig[:, k]
-                s_anchor = self._anchor(sdig, aa, eg)
-                inner = self._rel_suffix(sdig, s_anchor, aa, cc, gpow, Gm, Gi)
-                fexp = ti + (ti - aa - 1) * (cc - aa - 1)
-                sign = (-1) ** (fexp + (cc - aa) * bsp)
-                va = pvalue(a, g, outer, e_pre)
-                gb = Gm[Gi[pi_anchor], Gm[g, s_anchor]]
-                vb = pvalue(b, gb, inner, e_rel)
-                out = (out + sign * va * vb) % p
-            return E0Cochain(self, ti, tj, out)
-
-        # cup01: plain split on P at i2, Steenrod split on Q at (bb < dd)
-        asp = i2
-        s_anchor = self._anchor(sdig, asp, eg)
-        s_pre = self._prefix(s, ng, ti, asp)
-        s_rel = self._rel_suffix(sdig, s_anchor, asp, ti, gpow, Gm, Gi)
-        for bb in range(0, j1):
-            dd = bb + j2
-            if dd > tj or dd <= bb:
-                continue
-            outer = np.zeros(len(g), dtype=np.int64)
-            for k in list(range(bb)) + list(range(dd - 1, tj)):
-                outer = outer * ne + qdig[:, k]
-            e_anchor = self._anchor(qdig, bb, ee)
-            inner = self._rel_suffix(qdig, e_anchor, bb, dd, epow, Em, Ei)
-            pi_anchor = self.pi[e_anchor]
-            fexp = tj + (tj - bb - 1) * (dd - bb - 1)
-            sign = (-1) ** (ti + fexp + asp * (ti - asp) + asp * j1)
-            va = pvalue(a, Gm[g, s_anchor], s_rel, outer)
-            vb = pvalue(b, Gm[Gi[pi_anchor], g], s_pre, inner)
-            out = (out + sign * va * vb) % p
-        return E0Cochain(self, ti, tj, out)
+def _split_terms(split: str, digits: np.ndarray, m: int, n: int, grp):
+    """The terms of one side's split (the module docstring's table) of the
+    target digits d_1..d_t, one row per target index, between a of degree m
+    and b of degree n on this side: (a's index, b's index, anchor, sign
+    exponent, the factor "a" or "b" that reads the relative piece)."""
+    rows, t = digits.shape
+    radix = lambda d: d @ grp.order ** np.arange(d.shape[1] - 1, -1, -1)
+    anchor = lambda k: digits[:, k - 1] if k else np.full(rows, grp.identity)
+    rel = lambda x, lo, hi: radix(grp.mul[grp.inv[x][:, None], digits[:, lo:hi]])
+    if split == "cup1":
+        for k in range(m if n else 0):  # no term when b has degree 0 on this side
+            c, x = k + n, anchor(k)
+            outer = radix(np.concatenate([digits[:, :k], digits[:, c - 1:]], axis=1))
+            yield outer, rel(x, k, c), x, t + (t - k - 1) * (c - k - 1), "b"
+    else:
+        front = m if split == "ab" else n
+        x = anchor(front)
+        pre, suf = radix(digits[:, :front]), rel(x, front, t)
+        yield (pre, suf, x, 0, "b") if split == "ab" else (suf, pre, x, m * n, "a")
 
 
 def build_double_complex(spec: ExtensionSpec, bound: int,

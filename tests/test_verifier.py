@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -290,6 +291,35 @@ def test_out_of_bounds_product_rejected(cx4):
         cx4.product(a, b, "cup")
     with pytest.raises(GroupError):
         cx4.product(a, b, "nope")
+
+
+def test_cup1_products_refuse_a_negative_bidegree(cx4):
+    rng = np.random.RandomState(8)
+    a, b = cx4.random_cochain(rng, 0, 1), cx4.random_cochain(rng, 0, 2)
+    with pytest.raises(GroupError, match="negative bidegree"):
+        cx4.product(a, b, "cup10")
+    a, b = cx4.random_cochain(rng, 1, 0), cx4.random_cochain(rng, 2, 0)
+    with pytest.raises(GroupError, match="negative bidegree"):
+        cx4.product(a, b, "cup01")
+
+
+# sha256 over every product's values, in the order of the loops below
+PRODUCT_DIGEST = "e1535799791846bffc67e5dd9968f0f9ede901d88d9fc8492eaddb544fa48f45"
+
+
+def test_product_values_are_pinned(cx4, cx9):
+    h = hashlib.sha256()
+    for cx, seed in ((cx4, 0), (cx9, 1)):
+        rng = np.random.RandomState(seed)
+        for i1, j1, i2, j2 in itertools.product(range(4), repeat=4):
+            if i1 + j1 + i2 + j2 > 3:
+                continue
+            a, b = cx.random_cochain(rng, i1, j1), cx.random_cochain(rng, i2, j2)
+            for kind in ("cup", "wedge", "cup10", "cup01", "twist"):
+                if (kind == "cup10" and i1 + i2 == 0) or (kind == "cup01" and j1 + j2 == 0):
+                    continue
+                h.update(cx.product(a, b, kind).values.astype(np.int64).tobytes())
+    assert h.hexdigest() == PRODUCT_DIGEST
 
 
 # -- coboundary formulas ---------------------------------------------------
