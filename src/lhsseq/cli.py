@@ -57,15 +57,19 @@ def _load_overrides(args, spec):
         return parse_overrides(fh.read(), spec)
 
 
-def _page_tables(pages) -> dict:
-    out = {}
-    for r, page in pages.items():
-        out[str(r)] = {f"{i},{j}": d for (i, j), d in page.dims_table().items()}
-    return out
+def _page_tables(tables: dict) -> dict:
+    """{r: {(i, j): dim}} as the report's {"r": {"i,j": dim}}."""
+    return {str(r): {f"{i},{j}": d for (i, j), d in tab.items()} for r, tab in tables.items()}
 
 
 def cmd_sseq(args) -> int:
     spec = _load_spec(args)
+    if spec.experimental:
+        # the engine reads xi as the d_2 class, but the group the spec
+        # builds has d_2(u) = 0 there; compare and oracle show the mismatch
+        raise EngineError(
+            f"sseq does not support kernel_m > 1 (got {spec.kernel_m}): the engine's pages "
+            "would not be those of the extension the spec builds; run compare to see them differ")
     if args.max_degree < args.r_max:
         raise ParseError(
             f"--max-degree {args.max_degree} leaves no trusted coefficient (valid_through = "
@@ -83,7 +87,7 @@ def cmd_sseq(args) -> int:
         "spec": spec.describe(),
         "max_degree": args.max_degree,
         "r_max": args.r_max,
-        "pages": _page_tables(result["pages"]),
+        "pages": _page_tables({r: page.dims_table() for r, page in result["pages"].items()}),
         "poincare": {
             "coefficients": pd.coefficients,
             "valid_through": pd.valid_through,
@@ -104,8 +108,6 @@ def cmd_sseq(args) -> int:
     print(f"extension: {report['spec']}")
     print(f"Poincare coefficients (degrees 0..{pd.valid_through}):")
     print("  " + " ".join(str(c) for c in pd.coefficients))
-    if spec.experimental:
-        print("note: kernel exponent > 1 is experimental")
     if result["possible_higher"]:
         print(
             f"note: {len(result['possible_higher'])} bidegree pairs could carry "
@@ -146,10 +148,7 @@ def cmd_oracle(args) -> int:
         "cohomology_dims": dims,
     }
     if args.pages:
-        report["pages"] = {
-            str(r): {f"{i},{j}": d for (i, j), d in tab.items()}
-            for r, tab in oracle.tables.items()
-        }
+        report["pages"] = _page_tables(oracle.tables)
     print(f"group of order {order}; dim H^n for n = 0..{args.max_degree}:")
     print("  " + " ".join(str(d) for d in dims))
     print(f"[{time.time() - t0:.2f}s]")

@@ -2,14 +2,25 @@
 
 H*(C_{p^m1} + ... + C_{p^mr}) is generated by y_1..y_r in degree one and
 x_1..x_r in degree two, with y_i^2 = 0 for p^{m_i} > 2 and y_i^2 = x_i
-when p^{m_i} = 2.  Classes are stored as reduced monomial sums.  Massey
-triple products are computed on the minimal resolution, where cochain
-differentials vanish: the defining-system terms can be taken to be zero
-and the product is the value of the associativity-homotopy pairing h.
-For one cyclic factor h is supported on triples of odd-degree classes
-and counts the strictly increasing index triples (i < j < k < n) of the
-homotopy; for direct products it is combined by the Koszul-signed
-two-factor recursion, left-associated over the factors.
+when p^{m_i} = 2.  Classes are stored as reduced monomial sums.
+
+The Bockstein and the Massey triple product both go through one
+primitive, the graded derivation d_k that removes y_k (_contract):
+
+    beta(a)    = sum over k with m_k = 1 of x_k d_k(a)
+    h(a, b, c) = (-1)^(|b|+1) sum_k C(p^{m_k}, 3) x_k d_k(a) d_k(b) d_k(c)
+
+Massey triple products are computed on the minimal resolution, where
+cochain differentials vanish: the defining-system terms can be taken to
+be zero and the product is the value h of the coassociativity homotopy.
+On one cyclic factor C_n that homotopy is supported on all-odd degrees,
+where it sums over the index triples i < j < k < n, so it pairs with
+three odd duals to C(n, 3).  Each term of the homotopy on a product of
+resolutions applies the homotopy of exactly one factor and the diagonals
+of the others, hence the sum over k.  C(p^m, 3) is divisible by p unless
+p^m = 3, so h lives only on C_3 factors, where h(y, y, y) = x is
+Kraines' <y>^3 = beta(y) up to sign (D. Kraines, "Massey higher
+products", Trans. AMS 124, 1966).
 """
 
 from __future__ import annotations
@@ -244,26 +255,26 @@ def cup(a: CohoClass, b: CohoClass) -> CohoClass:
     return CohoClass(group, terms, deg)
 
 
+def _contract(a: CohoClass, k: int) -> CohoClass:
+    """d_k, the graded derivation that removes y_k:
+    d_k(y^eps x^pows) = (-1)^(eps_1+...+eps_{k-1}) y^(eps-e_k) x^pows
+    when eps_k = 1, and 0 otherwise."""
+    terms = {}
+    for (eps, pows), c in a.terms.items():
+        if eps[k]:
+            sign = -1 if sum(eps[:k]) % 2 else 1
+            terms[(eps[:k] + (0,) + eps[k + 1:], pows)] = sign * c
+    return CohoClass(a.group, terms, a.degree - 1)
+
+
 def bockstein(a: CohoClass) -> CohoClass:
-    """The mod-p Bockstein: beta(y_i) = x_i iff the i-th factor has
-    exponent one, beta(x_i) = 0, extended as a graded derivation."""
+    """The mod-p Bockstein, sum over the factors of exponent one of
+    x_k d_k(a): beta(y_k) = x_k on them and beta(x_k) = 0."""
     group = a.group
     out = CohoClass.zero(group, a.degree + 1)
-    for (eps, pows), c in a.terms.items():
-        passed = 0  # odd generators the derivation has moved past
-        for i, e in enumerate(eps):
-            if not e:
-                continue
-            if group.exponents[i] == 1:
-                new_eps = list(eps)
-                new_eps[i] = 0
-                new_pows = list(pows)
-                new_pows[i] += 1
-                sign = -1 if passed % 2 else 1
-                out = out + CohoClass.monomial(
-                    group, new_eps, new_pows, coeff=sign * c
-                )
-            passed += 1
+    for k, m in enumerate(group.exponents):
+        if m == 1:
+            out = out + cup(CohoClass.x(group, k), _contract(a, k))
     return out
 
 
@@ -298,90 +309,17 @@ def dims(group: AbelianPGroupSpec, max_degree: int) -> list[int]:
 # -- Massey triple products ------------------------------------------
 
 
-def _h_cyclic(order: int, p: int, d1: int, d2: int, d3: int) -> int:
-    """Coefficient of the homotopy pairing on one cyclic factor.
-
-    Nonzero only when all three input degrees are odd; the value counts
-    the strictly increasing triples 0 <= i < j < k < order, i.e. C(order, 3).
-    The output class sits in degree d1+d2+d3-1 (even).
-    """
-    if d1 % 2 and d2 % 2 and d3 % 2:
-        return comb(order, 3) % p
-    return 0
-
-
-def _h_monomials(group: AbelianPGroupSpec, m1: Monomial, m2: Monomial, m3: Monomial) -> CohoClass:
-    """h on a triple of monomials over the left-associated factorization
-    G = (factors 1..r-1) x (factor r)."""
-    r = group.rank
-    p = group.p
-    if r == 0:
-        return CohoClass.zero(group)
-    if r == 1:
-        d = [_monomial_degree(m) for m in (m1, m2, m3)]
-        c = _h_cyclic(group.factor_orders[0], p, *d)
-        if not c:
-            return CohoClass.zero(group)
-        total = d[0] + d[1] + d[2] - 1
-        return CohoClass.monomial(group, (total % 2,), (total // 2,), coeff=c)
-
-    head = AbelianPGroupSpec(p, group.exponents[:-1])
-    tail = AbelianPGroupSpec(p, group.exponents[-1:])
-
-    def split(mon: Monomial):
-        eps, pows = mon
-        phi = (eps[:-1], pows[:-1])
-        theta = (eps[-1:], pows[-1:])
-        return phi, theta
-
-    (phi1, th1), (phi2, th2), (phi3, th3) = split(m1), split(m2), split(m3)
-    dphi = [_monomial_degree(m) for m in (phi1, phi2, phi3)]
-    dth = [_monomial_degree(m) for m in (th1, th2, th3)]
-
-    sign = -1 if (dphi[1] * dth[0] + dphi[2] * dth[0] + dphi[2] * dth[1]) % 2 else 1
-
-    out = CohoClass.zero(group, _monomial_degree(m1) + _monomial_degree(m2) + _monomial_degree(m3) - 1)
-
-    # h'(phi) (x) (theta1 theta2) theta3
-    h_head = _h_monomials(head, phi1, phi2, phi3)
-    th_prod = cup(
-        cup(CohoClass(tail, {th1: 1}), CohoClass(tail, {th2: 1})),
-        CohoClass(tail, {th3: 1}),
-    )
-    out = out + _tensor_join(group, h_head, th_prod).scale(sign)
-
-    # (-1)^{|phi1|+|phi2|+|phi3|} phi1 (phi2 phi3) (x) h''(theta)
-    h_tail = _h_monomials(tail, th1, th2, th3)
-    phi_prod = cup(
-        CohoClass(head, {phi1: 1}),
-        cup(CohoClass(head, {phi2: 1}), CohoClass(head, {phi3: 1})),
-    )
-    s2 = -1 if sum(dphi) % 2 else 1
-    out = out + _tensor_join(group, phi_prod, h_tail).scale(sign * s2)
-    return out
-
-
-def _tensor_join(group: AbelianPGroupSpec, head_cls: CohoClass, tail_cls: CohoClass) -> CohoClass:
-    """Juxtapose classes over the leading factors and the last factor.
-
-    Monomials are tensor products of per-factor duals in factor order,
-    so joining introduces no sign.
-    """
-    out = CohoClass.zero(group)
-    for (e1, a1), c1 in head_cls.terms.items():
-        for (e2, a2), c2 in tail_cls.terms.items():
-            out = out + CohoClass.monomial(group, e1 + e2, a1 + a2, coeff=c1 * c2)
-    return out
-
-
 def triple_h(a: CohoClass, b: CohoClass, c: CohoClass) -> CohoClass:
-    """Trilinear extension of the homotopy pairing h to class sums."""
+    """The coassociativity-homotopy pairing on the minimal resolution,
+    (-1)^(|b|+1) sum_k C(p^{m_k}, 3) x_k d_k(a) d_k(b) d_k(c)."""
     group = a.group
+    sign = 1 if b.degree % 2 else -1
     out = CohoClass.zero(group, a.degree + b.degree + c.degree - 1)
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            for m3, c3 in c.terms.items():
-                out = out + _h_monomials(group, m1, m2, m3).scale(c1 * c2 * c3)
+    for k, order in enumerate(group.factor_orders):
+        coeff = comb(order, 3) % group.p
+        if coeff:
+            abc = cup(cup(_contract(a, k), _contract(b, k)), _contract(c, k))
+            out = out + cup(CohoClass.x(group, k), abc).scale(sign * coeff)
     return out
 
 
@@ -389,7 +327,6 @@ def triple_h(a: CohoClass, b: CohoClass, c: CohoClass) -> CohoClass:
 class MasseyResult:
     representative: CohoClass
     indeterminacy_basis: list[CohoClass]
-    defined: bool = True
 
     def contains_zero(self) -> bool:
         """True when the representative lies in the indeterminacy span."""
@@ -419,7 +356,7 @@ def massey_triple(a: CohoClass, b: CohoClass, c: CohoClass) -> MasseyResult:
         )
     rep = triple_h(a, b, c)
     indet = indeterminacy_basis(a, b, c)
-    return MasseyResult(representative=rep, indeterminacy_basis=indet, defined=True)
+    return MasseyResult(representative=rep, indeterminacy_basis=indet)
 
 
 def indeterminacy_basis(a: CohoClass, b: CohoClass, c: CohoClass) -> list[CohoClass]:

@@ -228,6 +228,26 @@ def test_unknown_or_repeated_spec_field_errors(text, message, tmp_path, capsys):
     assert err.startswith(f"error: {message}") and len(err.strip().splitlines()) == 1
 
 
+def test_sseq_refuses_kernel_m_above_one_and_compare_reports_it(tmp_path, capsys):
+    # at kernel_m = 2 the engine's pages are not those of the group the
+    # spec builds (dim H^n(C_9 x C_3) = n + 1): sseq refuses, while
+    # compare still runs and reports the mismatch
+    spec = tmp_path / "m2.cfg"
+    spec.write_text('{p: 3, kernel_m: 2, quotient: [1], xi: "x1", xi_prime: "0"}')
+    out = tmp_path / "sseq.json"
+    rc = main(["sseq", "--spec", str(spec), "--max-degree", "8", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sseq does not support kernel_m > 1")
+    assert len(captured.err.strip().splitlines()) == 1
+    out = tmp_path / "cmp.json"
+    rc = main(["compare", "--spec", str(spec), "--max-degree", "4", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 1 and report["cohomology_dims"] == [1, 2, 3, 4, 5]
+    assert report["verdicts"]["engine_einf_vs_group_cohomology"].startswith("mismatch")
+
+
 def test_group_error_in_spec_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text('{p: 3, kernel_m: 1, quotient: [1, 1], xi: "x1*y1"}')

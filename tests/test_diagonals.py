@@ -261,34 +261,43 @@ def _pair_triple_duals(res, hmap, labs, degs, p):
     return out
 
 
-@pytest.mark.parametrize("exps,top", [((1,), 6), ((1, 1), 5), ((2, 1), 5), ((1, 2), 5)],
-                         ids=["C3", "C3+C3", "C9+C3", "C3+C9"])
-def test_triple_h_is_the_homotopy_on_monomial_duals(exps, top):
+@pytest.mark.parametrize("exps,p,top", [
+    pytest.param((1,), 3, 6, id="C3"),
+    pytest.param((1, 1), 3, 5, id="C3+C3"),
+    pytest.param((2, 1), 3, 5, id="C9+C3"),
+    pytest.param((1, 2), 3, 5, id="C3+C9"),
+    pytest.param((1, 1, 1), 3, 5, id="C3+C3+C3"),
+    pytest.param((1, 2, 1), 3, 4, id="C3+C9+C3"),
+    pytest.param((1, 1), 5, 4, id="C5+C5"),
+    pytest.param((1, 2), 2, 4, id="C2+C4"),
+])
+def test_triple_h_is_the_homotopy_on_monomial_duals(exps, p, top):
     # triple_h, which the engine's d4 Massey map evaluates, must equal the
     # pairing of the chain-level homotopy with the monomial duals, for
-    # every triple of positive-degree monomials with output degree <= top
-    g = AbelianPGroupSpec(3, exps)
-    factors = [cyclic_resolution(order, 3, top + 1) for order in g.factor_orders]
-    homs = [cyclic_triple_homotopy(r) for r in factors]
-    if g.rank == 1:
-        res, hmap = factors[0], homs[0]
+    # every triple of positive-degree monomials with output degree <= top.
+    # The resolution, diagonal and homotopy are folded left over the
+    # factors, so a monomial's dual carries the nested tensor label.
+    g = AbelianPGroupSpec(p, exps)
+    factors = [cyclic_resolution(order, p, top + 1) for order in g.factor_orders]
+    res, diag, hmap = factors[0], cyclic_diagonal(factors[0]), cyclic_triple_homotopy(factors[0])
+    for f in factors[1:]:
+        prod = tensor_resolution(res, f)
+        fdiag = cyclic_diagonal(f)
+        hmap = tensor_homotopy(hmap, diag, cyclic_triple_homotopy(f), fdiag, prod)
+        diag = tensor_diagonal(diag, fdiag, prod)
+        res = prod
 
-        def label_of(mon):
-            return (2 * mon[1][0] + mon[0][0],)
-
-    else:
-        diags = [cyclic_diagonal(r) for r in factors]
-        res = tensor_resolution(*factors)
-        hmap = tensor_homotopy(homs[0], diags[0], homs[1], diags[1], res)
-
-        def label_of(mon):
-            d1, d2 = 2 * mon[1][0] + mon[0][0], 2 * mon[1][1] + mon[0][1]
-            return ((d1,), (d2,), d1, d2)
+    def label_of(mon):
+        degs = [2 * a + e for e, a in zip(*mon)]
+        lab = (degs[0],)
+        for k in range(1, len(degs)):
+            lab = (lab, (degs[k],), sum(degs[:k]), degs[k])
+        return lab
 
     for degs in itertools.product(range(1, top + 1), repeat=3):
         if sum(degs) - 1 > top:
             continue
         for mons in itertools.product(*(monomial_basis(g, d) for d in degs)):
-            got = _pair_triple_duals(res, hmap, tuple(map(label_of, mons)), degs, 3)
+            got = _pair_triple_duals(res, hmap, tuple(map(label_of, mons)), degs, p)
             h = triple_h(*(CohoClass(g, {m: 1}) for m in mons))
             assert got == {label_of(m): c for m, c in h.terms.items()}, (exps, mons)
