@@ -5,7 +5,7 @@ x_1..x_r in degree two, with y_i^2 = 0 for p^{m_i} > 2 and y_i^2 = x_i
 when p^{m_i} = 2.  Classes are stored as reduced monomial sums.
 
 The Bockstein and the Massey triple product both go through one
-primitive, the graded derivation d_k that removes y_k (_contract):
+primitive, the graded derivation d_k that removes y_k (contract):
 
     beta(a)    = sum over k with m_k = 1 of x_k d_k(a)
     h(a, b, c) = (-1)^(|b|+1) sum_k C(p^{m_k}, 3) x_k d_k(a) d_k(b) d_k(c)
@@ -21,6 +21,20 @@ of the others, hence the sum over k.  C(p^m, 3) is divisible by p unless
 p^m = 3, so h lives only on C_3 factors, where h(y, y, y) = x is
 Kraines' <y>^3 = beta(y) up to sign (D. Kraines, "Massey higher
 products", Trans. AMS 124, 1966).
+
+RingContext gives the same ring as matrices on the monomial basis, built
+by index arithmetic.  Each monomial of H^n has an int64 code (mixed
+radix: eps digits in radix 2, then x powers in radix n//2 + 1; every
+code is below 2^r (n//2 + 1)^r, checked < 2^63), and codes sort in
+basis order.  The product table of a monomial and a degree holds each
+basis monomial's product index (np.searchsorted on the codes, -1 where
+y_i^2 = 0 kills it) and Koszul sign; multiplication_matrix sums
+coefficient times table over a class's terms.  contraction_matrix is
+d_k.  With them the Massey map chi -> h(xi', chi, xi) of the engine is
+one composition: moving d_k(xi), of degree one, to the front of
+d_k(xi') d_k(chi) costs (-1)^(|chi|+1), which cancels the sign of h, so
+
+    h(xi', chi, xi) = sum_k C(p^{m_k}, 3) (x_k d_k(xi) d_k(xi')) d_k(chi).
 """
 
 from __future__ import annotations
@@ -39,9 +53,9 @@ __all__ = [
     "MasseyResult",
     "MasseyUndefinedError",
     "cup",
+    "contract",
     "bockstein",
     "massey_triple",
-    "dims",
     "monomial_basis",
     "RingContext",
 ]
@@ -255,7 +269,7 @@ def cup(a: CohoClass, b: CohoClass) -> CohoClass:
     return CohoClass(group, terms, deg)
 
 
-def _contract(a: CohoClass, k: int) -> CohoClass:
+def contract(a: CohoClass, k: int) -> CohoClass:
     """d_k, the graded derivation that removes y_k:
     d_k(y^eps x^pows) = (-1)^(eps_1+...+eps_{k-1}) y^(eps-e_k) x^pows
     when eps_k = 1, and 0 otherwise."""
@@ -274,7 +288,7 @@ def bockstein(a: CohoClass) -> CohoClass:
     out = CohoClass.zero(group, a.degree + 1)
     for k, m in enumerate(group.exponents):
         if m == 1:
-            out = out + cup(CohoClass.x(group, k), _contract(a, k))
+            out = out + cup(CohoClass.x(group, k), contract(a, k))
     return out
 
 
@@ -301,11 +315,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def dims(group: AbelianPGroupSpec, max_degree: int) -> list[int]:
-    """dim H^n(G) for n = 0..max_degree."""
-    return [len(monomial_basis(group, n)) for n in range(max_degree + 1)]
-
-
 # -- Massey triple products ------------------------------------------
 
 
@@ -318,7 +327,7 @@ def triple_h(a: CohoClass, b: CohoClass, c: CohoClass) -> CohoClass:
     for k, order in enumerate(group.factor_orders):
         coeff = comb(order, 3) % group.p
         if coeff:
-            abc = cup(cup(_contract(a, k), _contract(b, k)), _contract(c, k))
+            abc = cup(cup(contract(a, k), contract(b, k)), contract(c, k))
             out = out + cup(CohoClass.x(group, k), abc).scale(sign * coeff)
     return out
 
@@ -377,17 +386,21 @@ def indeterminacy_basis(a: CohoClass, b: CohoClass, c: CohoClass) -> list[CohoCl
     return out
 
 
-# -- vector-space views (used by the spectral sequence engine) --------
+# -- ring maps on the monomial basis (used by the spectral sequence engine)
 
 
 class RingContext:
-    """Cached basis/matrix views of H*(G) as F_p vector spaces."""
+    """Cached basis/matrix views of H*(G) as F_p vector spaces.  The basis
+    of H^n is also kept as two int arrays, eps and pows (one row per
+    monomial), with the monomials' codes (see the module docstring)."""
 
     def __init__(self, group: AbelianPGroupSpec):
         self.group = group
         self.p = group.p
         self._bases: dict[int, list[Monomial]] = {}
         self._index: dict[int, dict[Monomial, int]] = {}
+        self._arrays: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._order_two = np.array([o == 2 for o in group.factor_orders], dtype=bool)
 
     def basis(self, degree: int) -> list[Monomial]:
         if degree not in self._bases:
@@ -407,13 +420,74 @@ class RingContext:
             v[self._index[degree][m]] = c
         return v
 
+    def _codes(self, eps: np.ndarray, pows: np.ndarray, degree: int) -> np.ndarray:
+        """Codes of the monomials (rows of eps, pows) of H^degree.  The
+        largest is below 2^r (degree//2 + 1)^r, which must be below 2^63."""
+        r = self.group.rank
+        radix = max(degree, 0) // 2 + 1
+        if 2**r * radix**r >= 2**63:
+            raise GroupError(f"monomial codes of degree {degree} at rank {r} overflow int64")
+        weights = [radix**r * 2 ** (r - 1 - i) for i in range(r)]
+        weights += [radix ** (r - 1 - i) for i in range(r)]
+        return np.concatenate([eps, pows], axis=1) @ np.array(weights, dtype=np.int64)
+
+    def _basis_arrays(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """eps, pows and codes of the basis of H^degree."""
+        if degree not in self._arrays:
+            b, r = self.basis(degree), self.group.rank
+            eps = np.array([m[0] for m in b], dtype=np.int64).reshape(len(b), r)
+            pows = np.array([m[1] for m in b], dtype=np.int64).reshape(len(b), r)
+            codes = self._codes(eps, pows, degree)
+            assert (np.diff(codes) > 0).all(), "monomial codes are out of basis order"
+            self._arrays[degree] = eps, pows, codes
+        return self._arrays[degree]
+
+    def _lookup(self, eps: np.ndarray, pows: np.ndarray, degree: int) -> np.ndarray:
+        """Basis indices of monomials of H^degree (rows of eps, pows)."""
+        codes = self._codes(eps, pows, degree)
+        basis_codes = self._basis_arrays(degree)[2]
+        idx = np.searchsorted(basis_codes, codes)
+        assert (idx < len(basis_codes)).all() and (basis_codes[idx] == codes).all(), \
+            "a monomial is missing from the basis"
+        return idx
+
+    def _product_table(self, mon: Monomial, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """Left multiplication by the monomial mon on the basis of H^degree:
+        each product's index in the basis of H^{degree+|mon|} (-1 where it
+        dies) and its Koszul sign (see _koszul_sign)."""
+        e, a = (np.array(v, dtype=np.int64) for v in mon)
+        eps, pows, _ = self._basis_arrays(degree)
+        E, P = eps + e, pows + a
+        square = E == 2
+        live = ~(square & ~self._order_two).any(axis=1)  # y_i^2 = 0
+        P += square & self._order_two  # y_i^2 = x_i on a factor of order two
+        E[square] = 0
+        suffix = e.sum() - np.cumsum(e)  # the y_i of mon with i > j
+        sign = 1 - 2 * ((eps @ suffix) % 2)
+        idx = np.full(len(eps), -1, dtype=np.int64)
+        idx[live] = self._lookup(E[live], P[live], degree + _monomial_degree(mon))
+        return idx, sign
+
     def multiplication_matrix(self, cls: CohoClass, degree: int) -> np.ndarray:
         """Matrix of (left) multiplication by cls: H^degree -> H^{degree+|cls|};
-        rows index the target basis, columns the source basis."""
-        rows = self.dim(degree + cls.degree)
-        cols = self.dim(degree)
-        m = np.zeros((rows, cols), dtype=np.int64)
-        for j, mon in enumerate(self.basis(degree)):
-            prod = cup(cls, CohoClass(self.group, {mon: 1}))
-            m[:, j] = self.to_vector(prod, degree + cls.degree)
-        return m
+        rows index the target basis, columns the source basis, entries are
+        residues mod p.  The sum over the terms c*mon of cls of c times the
+        product table of mon."""
+        m = np.zeros((self.dim(degree + cls.degree), self.dim(degree)), dtype=np.int64)
+        cols = np.arange(m.shape[1])
+        for mon, c in cls.terms.items():
+            idx, sign = self._product_table(mon, degree)
+            live = idx >= 0
+            np.add.at(m, (idx[live], cols[live]), c * sign[live])
+        return m % self.p
+
+    def contraction_matrix(self, k: int, degree: int) -> np.ndarray:
+        """Matrix of d_k (see contract): H^degree -> H^{degree-1}, entries
+        residues mod p."""
+        eps, pows, _ = self._basis_arrays(degree)
+        cols = np.flatnonzero(eps[:, k])
+        E = eps[cols]
+        E[:, k] = 0
+        m = np.zeros((self.dim(degree - 1), self.dim(degree)), dtype=np.int64)
+        m[self._lookup(E, pows[cols], degree - 1), cols] = 1 - 2 * (E[:, :k].sum(axis=1) % 2)
+        return m % self.p

@@ -18,6 +18,10 @@ the cached multiplication and Massey maps:
     d4(t^k chi)   = k(k-1) t^{k-2} u xi' chi'    with xi chi' = xi' chi
 
 d4 on an even row solves xi chi' = xi' chi for the whole block at once.
+The multiplication maps are summed from RingContext's monomial product
+tables, and the Massey map is one composition, sum_k C(p^{m_k}, 3)
+(w_k times) o d_k with w_k = x_k d_k(xi) d_k(xi') a fixed degree-five
+class (see massey_map); neither calls cup per basis monomial.
 Differentials on pages five and up are zero unless supplied as
 overrides, which are extended over the page by the Leibniz rule (their
 products with surviving base-row classes), again one solve per bidegree,
@@ -39,10 +43,11 @@ steps and page matrices are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .cohomology import CohoClass, RingContext, triple_h
+from .cohomology import CohoClass, RingContext, contract, cup
 from .extensions import ExtensionSpec
 from .fplinalg import (
     LinAlgError,
@@ -196,34 +201,45 @@ class EngineContext:
         self.xi_prime = spec.xi_prime
         self.rng = rng
         self._mult = {}
+        # (k, C(p^{m_k}, 3) mod p, w_k) of massey_map, nonzero ones only
+        self._massey_factors = []
+        group = spec.quotient
+        for k, order in enumerate(group.factor_orders):
+            coeff = comb(order, 3) % self.p
+            w = cup(cup(CohoClass.x(group, k), contract(self.xi, k)), contract(self.xi_prime, k))
+            if coeff and not w.is_zero():
+                self._massey_factors.append((k, coeff, w))
 
     def mult_matrix(self, cls: CohoClass, degree: int, shift: int) -> np.ndarray:
         """Multiplication by cls: H^degree -> H^{degree+shift}; the shift
         is passed explicitly so the zero class keeps honest dimensions."""
-        key = (str(cls), shift, degree)
+        key = (cls, shift, degree)
         if key not in self._mult:
-            rows = self.ring.dim(degree + shift)
-            cols = self.ring.dim(degree)
-            m = np.zeros((rows, cols), dtype=np.int64)
-            if not cls.is_zero():
-                if cls.degree != shift:
-                    raise EngineError("class degree does not match the shift")
+            if cls.is_zero():
+                m = np.zeros((self.ring.dim(degree + shift), self.ring.dim(degree)), dtype=np.int64)
+            elif cls.degree != shift:
+                raise EngineError("class degree does not match the shift")
+            else:
                 m = self.ring.multiplication_matrix(cls, degree)
-            self._mult[key] = m % self.p
+            self._mult[key] = m
         return self._mult[key]
 
     def massey_map(self, degree: int) -> np.ndarray:
-        """Matrix of chi -> h(xi', chi, xi) on H^degree(G)."""
+        """Matrix of chi -> h(xi', chi, xi) on H^degree(G).
+
+        h(xi', chi, xi) = (-1)^(|chi|+1) sum_k C(p^{m_k}, 3) x_k d_k(xi')
+        d_k(chi) d_k(xi), and moving d_k(xi), of degree one, to the front
+        of d_k(xi') d_k(chi) costs (-1)^(|chi|+1), which cancels the sign.
+        So the map is sum_k C(p^{m_k}, 3) (w_k times) o d_k, with the
+        degree-five class w_k = x_k d_k(xi) d_k(xi'); factors whose
+        coefficient or w_k vanishes are left out."""
         key = ("massey", degree)
         if key not in self._mult:
-            rows = self.ring.dim(degree + 4)
-            cols = self.ring.dim(degree)
-            m = np.zeros((rows, cols), dtype=np.int64)
-            for col, mon in enumerate(self.ring.basis(degree)):
-                chi = CohoClass(self.spec.quotient, {mon: 1})
-                val = triple_h(self.xi_prime, chi, self.xi)
-                m[:, col] = self.ring.to_vector(val, degree + 4)
-            self._mult[key] = m % self.p
+            m = np.zeros((self.ring.dim(degree + 4), self.ring.dim(degree)), dtype=np.int64)
+            for k, coeff, w in self._massey_factors:
+                mult = coeff * self.mult_matrix(w, degree - 1, 5) % self.p
+                m = mul_mod(mult, self.ring.contraction_matrix(k, degree), self.p, m)
+            self._mult[key] = m
         return self._mult[key]
 
 

@@ -11,12 +11,11 @@ from lhsseq.cohomology import (
     RingContext,
     bockstein,
     cup,
-    dims,
     massey_triple,
     monomial_basis,
     triple_h,
 )
-from lhsseq.groups import AbelianPGroupSpec
+from lhsseq.groups import AbelianPGroupSpec, GroupError
 from lhsseq.parsing import parse_class
 
 C3C3 = AbelianPGroupSpec(3, (1, 1))
@@ -121,17 +120,18 @@ def test_bockstein_squares_to_zero_and_derivation_random():
 
 
 def test_dims_cyclic_c9():
-    g = AbelianPGroupSpec(3, (2,))
-    assert dims(g, 6) == [1] * 7
+    ring = RingContext(AbelianPGroupSpec(3, (2,)))
+    assert [ring.dim(n) for n in range(7)] == [1] * 7
 
 
 def test_dims_rank_two():
-    assert dims(C3C3, 8) == [n + 1 for n in range(9)]
+    ring = RingContext(C3C3)
+    assert [ring.dim(n) for n in range(9)] == [n + 1 for n in range(9)]
 
 
 def test_dims_trivial_group():
-    g = AbelianPGroupSpec(3, ())
-    assert dims(g, 4) == [1, 0, 0, 0, 0]
+    ring = RingContext(AbelianPGroupSpec(3, ()))
+    assert [ring.dim(n) for n in range(5)] == [1, 0, 0, 0, 0]
 
 
 # -- Massey products ---------------------------------------------------
@@ -271,3 +271,14 @@ def classes(draw):
 @given(classes())
 def test_parse_class_round_trips(c):
     assert parse_class(str(c), c.group) == c
+
+
+def test_monomial_codes_refuse_to_overflow_int64():
+    """Codes of H^n at rank r run below 2^r (n//2 + 1)^r, which must stay
+    below 2^63: at rank 12 that holds through degree 37 (2^12 19^12 <
+    2^63 < 2^12 20^12), not at degree 38."""
+    ring = RingContext(AbelianPGroupSpec(3, (1,) * 12))
+    empty = np.zeros((0, 12), dtype=np.int64)
+    assert ring._codes(empty, empty, 37).shape == (0,)
+    with pytest.raises(GroupError, match="overflow int64"):
+        ring._codes(empty, empty, 38)

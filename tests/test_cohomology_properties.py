@@ -1,6 +1,8 @@
 """Property tests of the ring H*(G; F_p), G a sum of cyclic p-groups:
-`cup` is graded-commutative and associative, and `bockstein` is a graded
-derivation with beta^2 = 0.
+`cup` is graded-commutative and associative, `bockstein` is a graded
+derivation with beta^2 = 0, and the multiplication and contraction
+matrices of `RingContext`, built by index arithmetic on the monomial
+basis, agree with `cup` and `contract`.
 
 Groups are drawn with p in {2, 3, 5}, rank 1-3 and exponents 1-2; classes
 are random combinations of the monomial basis in degrees 0-4.  Examples
@@ -10,7 +12,14 @@ are derandomized: every run checks the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhsseq.cohomology import CohoClass, bockstein, cup, monomial_basis
+from lhsseq.cohomology import (
+    CohoClass,
+    RingContext,
+    bockstein,
+    contract,
+    cup,
+    monomial_basis,
+)
 from lhsseq.groups import AbelianPGroupSpec
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -61,3 +70,31 @@ def test_bockstein_is_a_graded_derivation_squaring_to_zero(data):
     assert bockstein(bockstein(a)).is_zero()
     want = cup(bockstein(a), b) + cup(a, bockstein(b)).scale(sign(a.degree))
     assert bockstein(cup(a, b)) == want
+
+
+@SETTINGS
+@given(st.data())
+def test_multiplication_matrix_columns_are_cup_products(data):
+    g = data.draw(GROUPS)
+    cls = draw_class(data, g)
+    degree = data.draw(st.integers(0, 5))
+    ring = RingContext(g)
+    m = ring.multiplication_matrix(cls, degree)
+    assert m.shape == (ring.dim(degree + cls.degree), ring.dim(degree))
+    for j, mon in enumerate(ring.basis(degree)):
+        want = ring.to_vector(cup(cls, CohoClass(g, {mon: 1})), degree + cls.degree)
+        assert (m[:, j] == want).all(), (str(cls), mon)
+
+
+@SETTINGS
+@given(st.data())
+def test_contraction_matrix_columns_are_contract(data):
+    g = data.draw(GROUPS)
+    k = data.draw(st.integers(0, g.rank - 1))
+    degree = data.draw(st.integers(0, 6))
+    ring = RingContext(g)
+    m = ring.contraction_matrix(k, degree)
+    assert m.shape == (ring.dim(degree - 1), ring.dim(degree))
+    for j, mon in enumerate(ring.basis(degree)):
+        want = ring.to_vector(contract(CohoClass(g, {mon: 1}), k), degree - 1)
+        assert (m[:, j] == want).all(), (k, mon)

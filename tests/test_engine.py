@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lhsseq.cohomology import CohoClass, RingContext, cup
+from lhsseq.cohomology import CohoClass, RingContext, cup, triple_h
 from lhsseq.engine import (
     Cell,
     DifferentialOverride,
@@ -220,6 +220,33 @@ def test_paper_d4_values_case_f():
             cup(parse_class("x1*y2 - x2*y1", q), parse_class(name, q)), 5
         )
         assert (val % 3 == want).all()
+
+
+# the two benchmark specs, read only
+BENCH_SPECS = sorted((ROOT / "perfbench" / "specs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [ROOT / "configs" / f"{name}.cfg" for name in CONFIG_SPECS] + BENCH_SPECS,
+    ids=lambda path: path.stem,
+)
+def test_massey_map_columns_are_triple_h(path):
+    """The composition massey_map builds, against triple_h one basis class
+    at a time; split_27 has xi = 0 and c9_x_c3 has xi' = 0."""
+    spec = parse_extension_spec(path.read_text())
+    ctx = EngineContext(spec, 12)
+    for d in range(13):
+        m = ctx.massey_map(d)
+        assert m.shape == (ctx.ring.dim(d + 4), ctx.ring.dim(d))
+        for j, mon in enumerate(ctx.ring.basis(d)):
+            h = triple_h(spec.xi_prime, CohoClass(spec.quotient, {mon: 1}), spec.xi)
+            assert (m[:, j] == ctx.ring.to_vector(h, d + 4)).all(), (d, mon)
+
+
+def test_massey_map_covers_vanishing_xi_and_xi_prime():
+    assert config_spec("split_27").xi.is_zero()
+    assert config_spec("c9_x_c3").xi_prime.is_zero()
 
 
 def test_d4_zero_when_p_divides_power():
