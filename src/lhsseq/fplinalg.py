@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the prime field F_p.
 
-Everything below works on numpy int64 arrays with entries reduced into
-[0, p).  Pivoting is deterministic (leftmost column, topmost unused row,
+Inputs are reduced into [0, p) and every public output (echelon forms,
+kernel bases, solutions, products, ``Subquotient`` fields) is an int64
+array.  Pivoting is deterministic (leftmost column, topmost unused row,
 rows never swapped), so echelon forms, kernel bases and solutions are
 reproducible across runs; every representative choice downstream
 inherits that determinism.
@@ -11,33 +12,48 @@ blocked Gauss-Jordan elimination in the style of FFLAS-FFPACK (Dumas,
 Giorgi and Pernet, ACM TOMS 35(3), 2008).  In a panel of 64 columns the
 plain column loop runs on the rows still unused when the panel began,
 touching only rows with a nonzero in the pivot column; all other work of
-the panel is one deferred update by float64 matrix products.  Unused
-rows keep their original order, so the (row, column) pivot pairs are
-the rank profile matrix (Dumas, Pernet and Sultan, ISSAC 2015): the rank
-of every leading submatrix A[:a, :b] is the number of pairs inside it.
+the panel is one deferred update by float matrix products.  Unused rows
+keep their original order, so the (row, column) pivot pairs are the rank
+profile matrix (Dumas, Pernet and Sultan, ISSAC 2015): the rank of every
+leading submatrix A[:a, :b] is the number of pairs inside it.
 
-Exactness bound.  ``mul_mod`` does every float64 product, with the
+Lanes.  The working and product types are the narrowest that the two
+exactness bounds below allow, chosen from p and the inner dimension
+alone, as FFLAS-FFPACK chooses its floating type:
+
+* elimination (``work_dtype``): int16 while 362(p-1)^2 + p < 2^15, that
+  is p <= 7; int32 while it is below 2^31, 11 <= p <= 2423; int64 for
+  2437 <= p <= MAX_PRIME;
+* products (``product_dtype``): float32 when the whole inner dimension k
+  is one exact float32 chunk, k(p-1)^2 + 2p <= 2^24 (k <= 1,048,575 at
+  p = 5, k <= 167,771 at p = 11, k >= 1 only for p <= 4093); otherwise
+  float64 in chunks.
+
+Exactness bound.  ``mul_mod`` does every product in floats, with the
 mod-p reduction delayed: a sum of k products of residues plus one
-residue is at most k(p-1)^2 + (p-1), exact below 2^53.  It cuts the
-inner dimension into chunks that keep that sum plus p (the reduction's
-quotient may be one too large) below 2^53, and refuses p > MAX_PRIME =
-2^26, where a chunk would hold a single product.  The column loop
-delays its reduction too, in int64: multipliers and pivot rows are
-reduced before use, so k row updates leave an entry at most
-(p-1) + k(p-1)^2 in absolute value.  A panel takes at most 362 pivots
-(64 when blocked, else at most 128 columns or fewer than 2^17 entries),
-and 362(p-1)^2 + p < 2^63 holds up to p = 2^26; ``_eliminate`` refuses
-any p where it fails.
+residue is at most k(p-1)^2 + (p-1), exact below 2^t (t = 24 bits in
+float32, 53 in float64).  It keeps that sum plus p (the reduction's
+quotient may be one too large) below 2^t: in one float32 product, or by
+cutting the inner dimension into float64 chunks, and refuses p >
+MAX_PRIME = 2^26, where a float64 chunk would hold a single product.
+The column loop delays its reduction too, in the working type:
+multipliers and pivot rows are reduced before use, so k row updates
+leave an entry at most (p-1) + k(p-1)^2 in absolute value.  A panel
+takes at most 362 pivots (64 when blocked, else at most 128 columns or
+fewer than 2^17 entries), and 362(p-1)^2 + p < 2^63 holds up to p =
+2^26; ``_eliminate`` refuses any p and array type where it fails.
 
 Crossover.  Under 2^17 entries or 129 columns, one panel: the plain
 loop.  On a 2-core x86 box with one BLAS thread, replayed from copies
-(five runs each): the 38 eliminations of 8,192+ entries in the two
-``sseq`` benchmark runs (at most 276 x 276, median density 0.6%) took
-0.039-0.049 s, and 0.049-0.062 s with the crossover at 2^14; the 26 of
-``compare`` (at most 376 x 324) took 0.11-0.15 s, and 0.13-0.18 s at
+in the working type (five runs each): the 38 eliminations of 8,192+
+entries in the two ``sseq`` benchmark runs (at most 276 x 276, int16)
+took 0.015-0.016 s, and 0.020 s with the crossover at 2^14; the 26 of
+``compare`` (at most 376 x 324) took 0.035-0.036 s, and 0.048 s at
 2^14; the order-125 minimal resolution to degree 5 (p = 5, 14
 eliminations of 8,192+ entries, eight past the crossover, up to 998 x
-875) took 0.45-0.54 s with panels and 1.78-1.97 s without.
+875) took 0.116-0.118 s with panels, 0.118-0.120 s at 2^14 and
+0.211-0.213 s without.  In int64 with float64 products the same
+replays took 0.016, 0.062 and 0.194 s.
 """
 
 from __future__ import annotations
@@ -54,6 +70,7 @@ __all__ = [
     "check_budget",
     "LinAlgError",
     "mul_mod",
+    "product_dtype",
     "rank",
     "rank_profile",
     "kernel_basis",
@@ -61,6 +78,7 @@ __all__ = [
     "subquotient_of",
     "Subquotient",
     "rref",
+    "work_dtype",
 ]
 
 # Panels of _PANEL columns for eliminations with at least
@@ -79,6 +97,9 @@ _LOOP_PIVOTS = max(2 * _PANEL, math.isqrt(_BLOCK_MIN_ENTRIES - 1))
 _CLEAN_UPDATE = 512
 
 MAX_PRIME = 1 << 26
+# bits of precision of the product types, largest value of the loop types
+_FLOAT_BITS = {np.float32: 24, np.float64: 53}
+_INT_MAX = [(t, np.iinfo(t).max) for t in (np.int16, np.int32, np.int64)]
 DEFAULT_BUDGET = 1 << 27  # entries: 1 GiB as int64
 
 
@@ -97,26 +118,56 @@ def check_budget(entries: int, budget: int, what: str) -> None:
         raise BudgetExceeded(f"{what} needs {entries:,} entries, budget is {budget:,}")
 
 
+def work_dtype(p: int) -> type:
+    """The narrowest signed integer type of the elimination loop at p: one
+    that holds _LOOP_PIVOTS (p-1)^2 + p (module docstring)."""
+    bound = _LOOP_PIVOTS * (p - 1) ** 2 + p
+    for dtype, top in _INT_MAX:
+        if bound <= top:
+            return dtype
+    raise LinAlgError(f"p = {p} overflows the int64 bound of the elimination loop")
+
+
 def _as_array(entries, p: int, cols: int | None = None) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.int64)
+    """A new 2-d array of the residues of entries in the working dtype of p,
+    made in one pass (no full-size int64 temporary for integer input)."""
+    a = np.asarray(entries)
+    if a.dtype.kind != "i":
+        a = a.astype(np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1) if cols is None else a.reshape(-1, cols)
     if a.ndim != 2:
         raise LinAlgError(f"expected a 2-d array, got shape {a.shape}")
-    return a % p
+    out = np.empty(a.shape, dtype=work_dtype(p))
+    # an int64 divisor makes the remainder run in int64 whatever a's type
+    np.remainder(a, np.int64(p), out=out, casting="unsafe")
+    return out
 
 
-def _chunk(p: int) -> int:
-    """Largest exact inner dimension k: k(p-1)^2 + (p-1) + p < 2^53."""
+def _chunk(p: int, dtype=np.float64) -> int:
+    """Largest exact inner dimension k in dtype, of t bits of precision:
+    k(p-1)^2 + (p-1) + p < 2^t."""
     if p > MAX_PRIME:
         raise LinAlgError(f"p = {p} exceeds 2^26, the float64 product bound")
-    return ((1 << 53) - 2 * p) // (p - 1) ** 2
+    return ((1 << _FLOAT_BITS[dtype]) - 2 * p) // (p - 1) ** 2
+
+
+def product_dtype(k: int, p: int) -> type:
+    """The float type of ``mul_mod`` for inner dimension k: float32 when all
+    k products fit one exact float32 chunk, k(p-1)^2 + 2p <= 2^24, else
+    float64.  A left factor stored in it is used without conversion."""
+    return np.float32 if k <= _chunk(p, np.float32) else np.float64
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, x float64 integers in [0, 2^53 - p).  floor(x * (1/p))
-    may miss the quotient by one either way, so the remainder is corrected."""
-    q = x * (1.0 / p)
+    """x mod p in place, x float integers in [0, 2^t - p), t the bits of x's
+    precision (24 for float32, 53 for float64).  q = x (1/p) is taken in
+    that precision, 1/p and the product each rounded once (relative error
+    at most 2^-t), so |q - x/p| <= (x/p)(2^(1-t) + 2^-2t) < (2 + 2^-t)/p,
+    below 1 for p >= 3; for p = 2 both are exact.  floor(q) thus misses
+    the quotient by at most one either way: q p <= x + p < 2^t and x - q p
+    are exact, and one p corrects the remainder."""
+    q = x * (1 / x.dtype.type(p))
     np.floor(q, out=q)
     q *= p
     x -= q
@@ -125,44 +176,57 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) -> np.ndarray:
-    """(c + a @ b) mod p as int64, exactly; c defaults to zero.
-
-    Precondition: a, b and c hold residues in [0, p) (reduce them first).
-    The products run in float64 BLAS with the reduction delayed: a sum of
-    k products plus c is at most k(p-1)^2 + (p-1), so the inner dimension
-    is cut into chunks that keep it plus p below 2^53.  Raises LinAlgError
-    for p > MAX_PRIME = 2^26, where a chunk would hold a single product.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def _mul_mod(a, b, p: int, c=None) -> np.ndarray:
+    """(c + a @ b) mod p as exact floats of product_dtype(k, p), k the inner
+    dimension; the work of ``mul_mod`` without its conversion to int64."""
+    dtype = product_dtype(a.shape[1], p)
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     if c is None:
-        acc = np.zeros((a.shape[0], b.shape[1]))
+        acc = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
     else:
-        acc = np.asarray(c, dtype=np.float64)
-    step = _chunk(p)
+        acc = np.asarray(c, dtype=dtype)
+    # float32 is chosen only for k within its chunk, so a float32 chunk of
+    # 0 (p > 4093) comes with k = 0 and no product
+    step = max(_chunk(p, dtype), 1)
     for s in range(0, a.shape[1], step):
         prod = a[:, s : s + step] @ b[s : s + step]
         prod += acc
         acc = _reduce(prod, p)
-    return acc.astype(np.int64)
+    return acc
+
+
+def mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) -> np.ndarray:
+    """(c + a @ b) mod p as int64, exactly; c defaults to zero.
+
+    Precondition: a, b and c hold residues in [0, p) (reduce them first).
+    The products run in float BLAS with the reduction delayed: a sum of k
+    products plus c is at most k(p-1)^2 + (p-1), exact while it plus p
+    stays below 2^t, t = 24 in float32 and 53 in float64.  When the whole
+    inner dimension k fits one float32 chunk (``product_dtype``) the
+    product is one float32 matmul; otherwise k is cut into float64 chunks.
+    Raises LinAlgError for p > MAX_PRIME = 2^26, where a float64 chunk
+    would hold a single product.
+    """
+    return _mul_mod(a, b, p, c).astype(np.int64)
 
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
-    """Reduce a (int64, entries in [0, p)) in place; return (pivot_rows,
-    pivot_cols) in pivot order.  a[pivot_rows] is the RREF, the other rows
-    end zero, and the pairs are the rank profile matrix: each column, left
-    to right, takes the topmost unused row with a nonzero entry.
+    """Reduce a (entries in [0, p), of any signed integer dtype that holds
+    _LOOP_PIVOTS (p-1)^2 + p) in place; return (pivot_rows, pivot_cols) in
+    pivot order.  a[pivot_rows] is the RREF, the other rows end zero, and
+    the pairs are the rank profile matrix: each column, left to right,
+    takes the topmost unused row with a nonzero entry.
 
     Row updates x -= f * pivot_row run without a mod-p reduction: only
     the pivot column (before it is searched for a pivot), the pivot row
     (before it is normalised) and, once, the whole panel at its end are
-    reduced, so every entry stays below _LOOP_PIVOTS (p-1)^2 + p < 2^63
-    (module docstring); LinAlgError for any p where that bound fails.  A
+    reduced, so every entry stays below _LOOP_PIVOTS (p-1)^2 + p (module
+    docstring); LinAlgError for a dtype or p where that bound fails.  A
     panel whose updates are all small is kept reduced instead.
     """
-    if _LOOP_PIVOTS * (p - 1) ** 2 + p >= 1 << 63:
-        raise LinAlgError(f"p = {p} overflows the int64 bound of the elimination loop")
+    if _LOOP_PIVOTS * (p - 1) ** 2 + p > np.iinfo(a.dtype).max:
+        raise LinAlgError(f"p = {p} overflows the {a.dtype} bound of the elimination loop")
     n_rows, n_cols = a.shape
     blocked = n_rows * n_cols >= _BLOCK_MIN_ENTRIES and n_cols > 2 * _PANEL
     width = _PANEL if blocked else max(n_cols, 1)
@@ -240,19 +304,23 @@ def _update_deferred(a, coef, rows, stale, c0, c1, p) -> None:
     """
     top = a[rows, c1:]
     k = len(rows)
-    if top.size and not np.array_equal(coef[rows], np.eye(k, dtype=np.int64)):
-        aug = np.concatenate([coef[rows], np.eye(k, dtype=np.int64)], axis=1)
+    if top.size and not np.array_equal(coef[rows], np.eye(k, dtype=a.dtype)):
+        aug = np.concatenate([coef[rows], np.eye(k, dtype=a.dtype)], axis=1)
         inv_rows, _ = _eliminate(aug, p)
-        top = mul_mod(aug[inv_rows, k:], top, p)
+        top = _mul_mod(aug[inv_rows, k:], top, p)
     a[rows, c1:] = top
     coef[rows] = 0
     hit = np.flatnonzero(coef.any(axis=1))
-    neg = ((-a[rows, c0:]) % p).astype(np.float64)
+    # coefficients and pivot rows in the product dtype once per panel; each
+    # slab converts only its own rows of a
+    dtype = product_dtype(k, p)
+    neg = ((-a[rows, c0:]) % p).astype(dtype)
     slab = max(1, _SLAB_ENTRIES // neg.shape[1])
     for group, start in ((hit[stale[hit]], c0), (hit[~stale[hit]], c1)):
+        cg = coef[group].astype(dtype)
         for s in range(0, group.size, slab):
             r = group[s : s + slab]
-            a[r, start:] = mul_mod(coef[r], neg[:, start - c0 :], p, a[r, start:])
+            a[r, start:] = _mul_mod(cg[s : s + slab], neg[:, start - c0 :], p, a[r, start:])
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -261,17 +329,19 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     unused row with a nonzero entry."""
     a = _as_array(m, p)
     rows, cols = _eliminate(a, p)
-    return a[rows], cols
+    return a[rows].astype(np.int64, copy=False), cols
 
 
 def rank_profile(m: np.ndarray, p: int) -> list[tuple[int, int]]:
     """The rank profile matrix of m as (row, column) pairs, by column.
 
     rank(m[:a, :b]) is the number of pairs (i, j) with i < a and j < b.
-    An int64 array is reduced in place and overwritten, so the caller's
-    matrix is the only full-size copy; other input is copied.
+    A 2-d array already in the working dtype of p (int16 for p <= 7, int32
+    up to 2423, else int64) is reduced in place and overwritten, so the
+    caller's matrix is the only full-size copy; other input is copied
+    into that dtype.
     """
-    owned = isinstance(m, np.ndarray) and m.dtype == np.int64 and m.ndim == 2
+    owned = isinstance(m, np.ndarray) and m.dtype == work_dtype(p) and m.ndim == 2
     a = m if owned else _as_array(m, p)
     np.remainder(a, p, out=a)
     rows, cols = _eliminate(a, p)
@@ -317,9 +387,9 @@ def solve_linear(m: np.ndarray, target, p: int):
     solution and a column is consistent iff those rows vanish on it.
     """
     m = _as_array(m, p)
-    t = np.asarray(target, dtype=np.int64)
+    t = np.asarray(target)
     block = t.ndim == 2
-    t = (t if block else t.reshape(-1, 1)) % p
+    t = _as_array(t if block else t.reshape(-1, 1), p)
     if t.shape[0] != m.shape[0]:
         raise LinAlgError(f"target length {t.shape[0]} != rows {m.shape[0]}")
     n = m.shape[1]
@@ -371,7 +441,7 @@ class Subquotient:
         b = self.boundary_basis
         c_b = v[:, self._b_pivots]
         c_r = (v[:, self._r_pivots] - mul_mod(c_b, b[:, self._r_pivots], p)) % p
-        if (mul_mod(c_r, self.quotient_reps, p, mul_mod(c_b, b, p)) != v).any():
+        if (_mul_mod(c_r, self.quotient_reps, p, _mul_mod(c_b, b, p)) != v).any():
             raise LinAlgError("vector is not a cycle (not in the cycle span)")
         return c_r if block else c_r[0]
 
@@ -404,7 +474,7 @@ def subquotient_of(cycles, boundaries, ambient_dim: int, p: int,
     # cyc_ech is the identity on the columns z_pivots, so a boundary row
     # lies in the cycle span exactly when it equals its entries there
     # times cyc_ech
-    if (mul_mod(bnd_ech[:, z_pivots], cyc_ech, p) != bnd_ech).any():
+    if (_mul_mod(bnd_ech[:, z_pivots], cyc_ech, p) != bnd_ech).any():
         raise LinAlgError("boundaries are not contained in the span of the cycles")
     # Kill the boundary pivot columns in the cycles, then echelonize what
     # is left: the surviving rows are canonical representatives of Z/B

@@ -72,7 +72,8 @@ from .extensions import ExtensionSpec, build_extension_group, extension_projecti
 # oracle.rank is not used here but stays importable: perfbench's tracer tests call it
 from .fplinalg import rank  # noqa: F401
 from .fplinalg import (DEFAULT_BUDGET, LinAlgError, check_budget, kernel_basis, mul_mod,
-                       rank_profile, solve_linear, subquotient_of)
+                       product_dtype, rank_profile, solve_linear, subquotient_of,
+                       work_dtype)
 from .groups import FiniteGroupTable, GroupError, smallest_prime_factor
 from .resolutions import Resolution, abelian_minimal_resolution
 
@@ -159,11 +160,14 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
         # a temporary, freed before the translates are built
         k, free = kernel_basis(
             diffs[-1][free] if diffs else np.ones((1, order), dtype=np.int64), p)
-        rad = []
-        for g in gens:
-            perm = _act_matrix(group, g, n_blocks)
-            rad.append((k[:, perm] - k) % p)
-        radk = np.concatenate(rad, axis=0) if rad else np.zeros((0, k.shape[1]), dtype=np.int64)
+        # the translates (g - 1) K_n, one block per generator, written as
+        # residues into one array of the elimination's working dtype
+        kw, rows = k.astype(work_dtype(p)), k.shape[0]
+        radk = np.empty((len(gens) * rows, k.shape[1]), dtype=kw.dtype)
+        for i, g in enumerate(gens):
+            block = radk[i * rows : (i + 1) * rows]
+            np.subtract(kw[:, _act_matrix(group, g, n_blocks)], kw, out=block)
+            np.remainder(block, p, out=block)
         sq = subquotient_of(k, radk, k.shape[1], p, free)
         reps = sq.quotient_reps
         new_rank = reps.shape[0]
@@ -408,8 +412,10 @@ def _small_complex(cx: _HomDoubleComplex, deg: int, budget: int):
     adjoints = []
     for i in range(deg + 1):
         check_budget(cx.dim(i + 1, 0) * cx.dim(i, 0), budget, f"the adjoint of d^P_{i + 1}")
-        # residues as float64, the operand type of mul_mod, converted once
-        adjoints.append((cx.p_adjoint(i) % p).astype(np.float64))
+        # residues in the float type mul_mod multiplies them in (their
+        # columns are its inner dimension), converted once
+        adj = cx.p_adjoint(i)
+        adjoints.append((adj % p).astype(product_dtype(adj.shape[1], p)))
     dims = {(i, j): cx.a(i) * con.iota[j].shape[1]
             for i in range(deg + 2) for j in range(min(deg, deg + 1 - i) + 1)}
     offsets = [np.cumsum([0] + [dims.get((i, n - i), 0) for i in range(n + 1)])

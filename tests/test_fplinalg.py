@@ -5,6 +5,7 @@ import pytest
 
 from lhsseq.fplinalg import (
     LinAlgError,
+    _eliminate,
     _reduce,
     kernel_basis,
     mul_mod,
@@ -232,15 +233,37 @@ def test_elimination_refuses_p_past_its_int64_bound():
         rref(eye, 1 << 28)
 
 
+def test_elimination_refuses_an_array_type_below_its_bound():
+    # 362 (p-1)^2 + p fits int16 up to p = 7
+    a = np.eye(2, dtype=np.int16)
+    assert _eliminate(a.copy(), 7) == ([0, 1], [0, 1])
+    with pytest.raises(LinAlgError, match="int16 bound"):
+        _eliminate(a, 11)
+
+
+@pytest.mark.parametrize("k", [167771, 167773])
+def test_float_product_at_the_float32_edge(k):
+    # at p = 11 one float32 chunk holds 167,771 products: 100 k + 1 stays
+    # below 2^24 there, and at k = 167,773 it is an odd number past 2^24,
+    # which a float32 sum would round
+    p = 11
+    row = np.full((1, k), 10, dtype=np.int64)
+    got = mul_mod(row, row.T, p, np.ones((1, 1), dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [[(100 * k + 1) % p]]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 2097143])
 def test_float_reduction_is_exact_next_to_multiples_of_p(p):
-    # near 2^53, x * (1/p) rounds across an integer both ways (p = 5 and
-    # p = 2097143 need the correction up and down respectively)
-    rng = np.random.RandomState(6)
-    top = ((1 << 53) - 2 * p) // p
-    k = rng.randint(top // 2, top, size=20000).astype(np.int64)
-    x = np.concatenate([k * p - 1, k * p, k * p + 1])
-    assert (_reduce(x.astype(np.float64), p).astype(np.int64) == x % p).all()
+    # near 2^53 in float64 and 2^24 in float32, x * (1/p) rounds across an
+    # integer both ways (in float64, p = 5 and p = 2097143 need the
+    # correction up and down respectively)
+    for dtype, bits in ((np.float64, 53), (np.float32, 24)):
+        rng = np.random.RandomState(6)
+        top = ((1 << bits) - 2 * p) // p
+        k = rng.randint(top // 2, top, size=20000).astype(np.int64)
+        x = np.concatenate([k * p - 1, k * p, k * p + 1])
+        assert (_reduce(x.astype(dtype), p).astype(np.int64) == x % p).all()
 
 
 def test_blocked_rref_of_known_rank():

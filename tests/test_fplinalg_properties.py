@@ -3,16 +3,19 @@ against plain references.
 
 Matrices are drawn as (shape, rank, density, seed) and built with numpy,
 so shapes reach past the 2^17-entry crossover where `rref` switches to
-panels of 64 columns.  Examples are derandomized: every run checks the
+panels of 64 columns.  Primes are drawn on both sides of each boundary
+of the elimination's working type (int16 to p = 7, int32 from 11 to
+2423, int64 from 2437).  Examples are derandomized: every run checks the
 same cases.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lhsseq.fplinalg import (
+    _LOOP_PIVOTS,
     LinAlgError,
     _eliminate,
     kernel_basis,
@@ -24,7 +27,8 @@ from lhsseq.fplinalg import (
     subquotient_of,
 )
 
-PRIMES = st.sampled_from([2, 3, 5, 7])
+# 7 | 11 and 2423 | 2437 straddle the int16/int32 and int32/int64 lanes
+PRIMES = st.sampled_from([2, 3, 5, 7, 11, 2423, 2437])
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
@@ -56,36 +60,68 @@ AT_CROSSOVER = st.tuples(st.just(362), st.integers(360, 364))
 LARGE = st.tuples(st.integers(365, 450), st.integers(365, 450))
 
 
-@st.composite
-def matrices(draw, shapes):
-    """(m, p): a product L R mod p of bounded rank, some rows zeroed."""
-    p = draw(PRIMES)
-    rows, cols = draw(shapes)
-    k = draw(st.integers(0, min(rows, cols)))
-    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+# Every lane-boundary prime also runs as an explicit example of each
+# property below, whatever the derandomized draws pick.
+LANE_PRIMES = [7, 11, 2423, 2437]
+
+
+def matrix_case(p, rows, cols, k, seed, zero_rows):
+    """(m, p): a product L R mod p of rank at most k, a share zero_rows of
+    its rows zeroed."""
+    rng = np.random.RandomState(seed)
     m = (rng.randint(0, p, size=(rows, k)) @ rng.randint(0, p, size=(k, cols))) % p
-    m[rng.random_sample(rows) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    m[rng.random_sample(rows) < zero_rows] = 0
     return m, p
 
 
+@st.composite
+def matrices(draw, shapes):
+    """matrix_case draws: a prime, a shape, a rank bound, a seed."""
+    p = draw(PRIMES)
+    rows, cols = draw(shapes)
+    k = draw(st.integers(0, min(rows, cols)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return matrix_case(p, rows, cols, k, seed, draw(st.sampled_from([0.0, 0.3])))
+
+
+def lane_examples(case, *args):
+    """One explicit example (case(p, seed=p), *args) per lane-boundary prime."""
+    def mark(test):
+        for p in LANE_PRIMES:
+            test = example(case(p, p), *args)(test)
+        return test
+    return mark
+
+
+def loop_dtypes(p):
+    """The signed integer types that hold the column loop's bound
+    _LOOP_PIVOTS (p-1)^2 + p: every type _eliminate may run on at p."""
+    bound = _LOOP_PIVOTS * (p - 1) ** 2 + p
+    return [t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max]
+
+
 def assert_rref_equals_reference(m, p):
-    """rref(m) equals the reference, and so does _eliminate in place:
-    rank_profile relies on it leaving residues everywhere, the RREF in the
-    pivot rows and zero in the others."""
+    """rref(m) equals the reference, and so does _eliminate in place on
+    every integer type that holds its bound: rank_profile relies on it
+    leaving residues everywhere, the RREF in the pivot rows and zero in
+    the others."""
     r, pivots = rref(m, p)
     want, want_pivots = reference_rref(m, p)
     assert pivots == want_pivots
+    assert r.dtype == np.int64
     assert r.shape == want.shape and (r == want).all()
-    a = m.copy()
-    piv_rows, piv_cols = _eliminate(a, p)
-    assert piv_cols == want_pivots
-    assert ((a >= 0) & (a < p)).all()
-    assert (a[piv_rows] == want).all()
-    assert not np.delete(a, piv_rows, axis=0).any()
+    for dtype in loop_dtypes(p):
+        a = m.astype(dtype)
+        piv_rows, piv_cols = _eliminate(a, p)
+        assert a.dtype == dtype and piv_cols == want_pivots
+        assert ((a >= 0) & (a < p)).all()
+        assert (a[piv_rows] == want).all()
+        assert not np.delete(a, piv_rows, axis=0).any()
 
 
 @SETTINGS
 @given(matrices(st.one_of(TINY, SMALL, AT_CROSSOVER, LARGE)))
+@lane_examples(lambda p, seed: matrix_case(p, 400, 380, 300, seed, 0.3))
 def test_rref_equals_reference_on_both_sides_of_the_crossover(case):
     assert_rref_equals_reference(*case)
 
@@ -125,9 +161,11 @@ def test_rref_is_idempotent_and_canonical_under_row_operations(case, seed):
 
 @SETTINGS
 @given(matrices(st.one_of(SMALL, LARGE)))
+@lane_examples(lambda p, seed: matrix_case(p, 370, 420, 330, seed, 0.3))
 def test_rank_plus_nullity_is_the_column_count(case):
     m, p = case
     k, free = kernel_basis(m, p)
+    assert k.dtype == np.int64
     assert rank(m, p) + k.shape[0] == m.shape[1]
     assert not ((m @ k.T) % p).any()
     assert (k[:, free] == np.eye(len(free), dtype=np.int64)).all()
@@ -166,6 +204,8 @@ def test_rank_profile_counts_corner_ranks_past_the_crossover(case, seed):
     st.lists(st.sampled_from(["image", "random", "repeat"]), max_size=6),
     st.integers(0, 2**32 - 1),
 )
+@lane_examples(lambda p, seed: matrix_case(p, 362, 364, 250, seed, 0.3),
+               ["image", "random", "repeat", "image", "random"], 1)
 def test_block_solve_equals_one_column_solves(case, kinds, seed):
     # image columns are consistent; random ones mostly are not (m has
     # bounded rank); a repeat is a unit multiple of an earlier column plus
@@ -184,8 +224,12 @@ def test_block_solve_equals_one_column_solves(case, kinds, seed):
     t = np.array(cols, dtype=np.int64).reshape(len(cols), m.shape[0]).T
     x, consistent = solve_linear(m, t, p)
     assert x.shape == (m.shape[1], len(cols)) and consistent.shape == (len(cols),)
+    assert x.dtype == np.int64
+    # int64 products are exact here: PRIMES stop at 2437
+    assert not ((m @ x - t) % p * consistent).any()
     for c in range(len(cols)):
         want = solve_linear(m, t[:, c], p)
+        assert want is None or want.dtype == np.int64
         assert bool(consistent[c]) == (want is not None)
         assert (x[:, c] == (0 if want is None else want)).all()
 
@@ -193,8 +237,9 @@ def test_block_solve_equals_one_column_solves(case, kinds, seed):
 # ---- Subquotient laws ------------------------------------------------------
 
 # p = 67108859 is the largest prime below MAX_PRIME = 2^26, where an exact
-# float64 product holds two terms per chunk
-SQ_PRIMES = st.sampled_from([2, 3, 5, 67108859])
+# float64 product holds two terms per chunk; 7 | 11 and 2423 | 2437
+# straddle the boundaries of the elimination's working type
+SQ_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 2423, 2437, 67108859])
 # (cycle rows, ambient): small, or a cycle matrix past 2^17 entries
 SQ_SHAPES = st.one_of(
     st.tuples(st.integers(0, 30), st.integers(0, 30)),
@@ -208,20 +253,28 @@ def _random(rng, p, shape):
     return rng.randint(0, p, size=shape, dtype=np.int64)
 
 
+def subquotient_case(p, rows, n, k, seed, b_rows, escape):
+    """(Z, B, p, rng): Z of rank at most k, B b_rows combinations of Z
+    rows, and with escape a random vector added to B's last row."""
+    rng = np.random.RandomState(seed)
+    z = mul_mod(_random(rng, p, (rows, k)), _random(rng, p, (k, n)), p)
+    b = mul_mod(_random(rng, p, (b_rows, rows)), z, p)
+    if escape:
+        b[-1] = (b[-1] + _random(rng, p, n)) % p
+    return z, b, p, rng
+
+
 @st.composite
 def subquotients(draw, stray=False):
-    """(Z, B, p, rng): Z of bounded rank, B combinations of Z rows.  With
-    stray, Z has rank below the ambient dimension, B at least one row, and
-    sometimes a random vector is added to B's last row."""
+    """subquotient_case draws.  With stray, Z has rank below the ambient
+    dimension, B at least one row, and sometimes a vector escapes Z."""
     p = draw(SQ_PRIMES)
     rows, n = draw(SQ_SHAPES)
     k = draw(st.integers(0, max(0, min(rows, n - stray))))
-    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
-    z = mul_mod(_random(rng, p, (rows, k)), _random(rng, p, (k, n)), p)
-    b = mul_mod(_random(rng, p, (draw(st.integers(int(stray), 8)), rows)), z, p)
-    if stray and b.shape[0] and n and draw(st.booleans()):
-        b[-1] = (b[-1] + _random(rng, p, n)) % p
-    return z, b, p, rng
+    seed = draw(st.integers(0, 2**32 - 1))
+    b_rows = draw(st.integers(int(stray), 8))
+    escape = bool(stray and b_rows and n and draw(st.booleans()))
+    return subquotient_case(p, rows, n, k, seed, b_rows, escape)
 
 
 def _exact(m):
@@ -231,11 +284,14 @@ def _exact(m):
 
 @SQ_SETTINGS
 @given(subquotients())
+@lane_examples(lambda p, seed: subquotient_case(p, 370, 366, 300, seed, 8, False))
 def test_subquotient_reduce_is_the_coordinate_map(case):
     z, b, p, rng = case
     n = z.shape[1]
     sq = subquotient_of(z, b, n, p)
     assert sq.dim == rank(z, p) - rank(b, p)
+    assert sq.boundary_basis.dtype == sq.quotient_reps.dtype == np.int64
+    assert sq.reduce(b).dtype == np.int64
     # representatives have coordinates e_k, boundaries coordinate 0
     assert (sq.reduce(sq.quotient_reps) == np.eye(sq.dim, dtype=np.int64)).all()
     assert sq.reduce(sq.boundary_basis).shape == (sq.boundary_basis.shape[0], sq.dim)
@@ -258,6 +314,7 @@ def test_subquotient_reduce_is_the_coordinate_map(case):
 
 @SQ_SETTINGS
 @given(subquotients(stray=True))
+@lane_examples(lambda p, seed: subquotient_case(p, 370, 366, 300, seed, 5, True))
 def test_subquotient_of_raises_exactly_when_b_leaves_z(case):
     z, b, p, _ = case
     n = z.shape[1]
@@ -278,20 +335,28 @@ KERNEL_SHAPES = st.one_of(
 )
 
 
+def kernel_case(p, rows, n, k, seed, b_rows, escape):
+    """(m, B, p, rng): Z = ker m, m of rank at most k, B b_rows combinations
+    of a basis of Z, and with escape a random vector added to B's last row."""
+    rng = np.random.RandomState(seed)
+    m = mul_mod(_random(rng, p, (rows, k)), _random(rng, p, (k, n)), p)
+    z, _ = kernel_basis(m, p)
+    b = mul_mod(_random(rng, p, (b_rows, z.shape[0])), z, p)
+    if escape:
+        b[-1] = (b[-1] + _random(rng, p, n)) % p
+    return m, b, p, rng
+
+
 @st.composite
 def kernels(draw):
-    """(m, B, p, rng): Z = ker m of bounded codimension, B combinations of a
-    basis of Z, and sometimes a random vector added to B's last row."""
+    """kernel_case draws: Z of bounded codimension, B sometimes escaping."""
     p = draw(SQ_PRIMES)
     rows, n = draw(KERNEL_SHAPES)
     k = draw(st.integers(0, min(rows, n)))
-    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
-    m = mul_mod(_random(rng, p, (rows, k)), _random(rng, p, (k, n)), p)
-    z, _ = kernel_basis(m, p)
-    b = mul_mod(_random(rng, p, (draw(st.integers(0, 12)), z.shape[0])), z, p)
-    if b.shape[0] and n and draw(st.booleans()):
-        b[-1] = (b[-1] + _random(rng, p, n)) % p
-    return m, b, p, rng
+    seed = draw(st.integers(0, 2**32 - 1))
+    b_rows = draw(st.integers(0, 12))
+    escape = bool(b_rows and n and draw(st.booleans()))
+    return kernel_case(p, rows, n, k, seed, b_rows, escape)
 
 
 def _subquotient_or_error(*args, **kwargs):
@@ -303,6 +368,7 @@ def _subquotient_or_error(*args, **kwargs):
 
 @SQ_SETTINGS
 @given(kernels())
+@lane_examples(lambda p, seed: kernel_case(p, 50, 430, 40, seed, 12, False))
 def test_subquotient_of_a_kernel_basis_equals_the_echelonized_path(case):
     # a kernel basis given with its free columns, the same basis without
     # them, and a shuffled, rescaled spanning set of Z with redundant rows
