@@ -351,7 +351,7 @@ def _verify_tpower(budget):
     return results
 
 
-def _verify_homotopy():
+def _verify_homotopy(budget):
     from .diagonals import (
         cyclic_diagonal,
         cyclic_triple_homotopy,
@@ -363,7 +363,7 @@ def _verify_homotopy():
     for order, p in [(2, 2), (3, 3), (4, 2), (5, 5), (9, 3)]:
         res = cyclic_resolution(order, p, 7)
         results[f"triple-homotopy-order{order}"] = homotopy_identity_residual(
-            res, cyclic_diagonal(res), cyclic_triple_homotopy(res), 6
+            res, cyclic_diagonal(res), cyclic_triple_homotopy(res), 6, budget
         )
     return results
 
@@ -377,7 +377,7 @@ def cmd_verify(args) -> int:
         "cup1": lambda: _verify_cup1(rng, args.pairs, args.slow, args.budget),
         "ladder": lambda: _verify_ladder(args.budget),
         "tpower": lambda: _verify_tpower(args.budget),
-        "homotopy": _verify_homotopy,
+        "homotopy": lambda: _verify_homotopy(args.budget),
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]
     results = {}
@@ -508,6 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0 <= getattr(args, "seed", 0) < 2**32:  # the seeds numpy's RandomState takes
+            raise ParseError(f"--seed must be in 0..2^32 - 1, got {args.seed}")
         return args.func(args)
     except (ParseError, EngineError, MasseyUndefinedError, GroupError, BudgetExceeded,
             OSError) as exc:

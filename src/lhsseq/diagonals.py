@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fplinalg import DEFAULT_BUDGET, check_budget
 from .groups import GroupError
 from .resolutions import Resolution
 
@@ -247,20 +248,15 @@ def _emit(out, left, right, atrip, btrip, nb_order, extra_sign):
 # -- identity checking ---------------------------------------------------
 
 
-def _dense_index_sizes(res: Resolution, multidegree):
-    sizes = []
-    for d in multidegree:
-        sizes.append(res.group.order * len(res.labels(d)))
-    return sizes
-
-
-def _terms_to_dense(res: Resolution, multidegree, terms, p) -> np.ndarray:
-    sizes = _dense_index_sizes(res, multidegree)
-    total = int(np.prod(sizes))
-    v = np.zeros(total, dtype=np.int64)
+def _terms_to_dense(res: Resolution, multidegree, terms, p,
+                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
     label_index = [
         {lab: k for k, lab in enumerate(res.labels(d))} for d in multidegree
     ]
+    sizes = [res.group.order * len(labels) for labels in label_index]
+    total = int(np.prod(sizes))
+    check_budget(total, budget, f"a dense vector in tensor multidegree {multidegree}")
+    v = np.zeros(total, dtype=np.int64)
     for coeff, pieces in terms:
         idx = 0
         for k, (g, lab) in enumerate(pieces):
@@ -314,9 +310,11 @@ def homotopy_identity_residual(
     diag: ChainMapToTensor,
     hmap: ChainMapToTensor,
     max_total_degree: int,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Max residual of dH + Hd = (D (x) 1)D - (1 (x) D)D over all source
-    generators and output components with total degree <= max_total_degree."""
+    generators and output components with total degree <= max_total_degree;
+    each component is a dense vector, checked against the budget."""
     p = res.p
     worst = 0
     for n in range(min(max_total_degree, res.max_degree - 1) + 1):
@@ -324,11 +322,8 @@ def homotopy_identity_residual(
             sides: dict[tuple, np.ndarray] = {}
 
             def add(md, terms, sign):
-                v = _terms_to_dense(res, md, terms, p) * sign
-                if md in sides:
-                    sides[md] = (sides[md] + v) % p
-                else:
-                    sides[md] = v % p
+                v = _terms_to_dense(res, md, terms, p, budget) * sign
+                sides[md] = (sides.get(md, 0) + v) % p
 
             # d H(gen)
             for md in _triples(n + 1):

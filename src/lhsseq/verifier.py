@@ -16,6 +16,14 @@ Convention notes (the self-test suite pins these):
     of d_0/d_1 over the cup product, which the ladder identities need);
   * the middle-swap tau carries (-1)^{(degree swapped P piece)(degree Q piece)}.
 
+Face matrices.  Each target row of d0 or d1 has one entry per face, and an
+entry's sign depends only on its face, so a face matrix is an int32 index array
+of shape (faces, rows), face-major, with one sign per face.  d^2 = 0 is checked
+over the integers: each (left face, right face) pair of a composite is one
+column vector with one sign; a +sign vector cancels an equal -sign one, which
+adds zero to every row, and what is left is summed per row in int64 before the
+one reduction mod p.  No step rounds, wraps or skips an entry: the check is exact.
+
 Products.  The five products of a in (i1, j1) and b in (i2, j2) share one
 rule: each kind picks a split of the target digits on the P side
 (s_1..s_ti) and one on the Q side (e_1..e_tj), after Steenrod's cup-i
@@ -45,7 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .extensions import (
     ExtensionSpec,
@@ -114,20 +121,6 @@ class E0Cochain:
         return self.i + self.j
 
 
-def _row_blocks(m: sp.csr_matrix):
-    """(lo, hi, block): rows lo..hi-1 of a face matrix, as many as it has columns,
-    as a view on the stored arrays (m[lo:hi] and scipy's constructor would copy;
-    every row holds `faces` entries, so the first offsets of indptr serve every
-    block).  scipy upcasts int8 data in every product and sizes a product's
-    workspace by its whole left operand, so products run per block."""
-    rows, step = m.shape
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        b, (a, z) = sp.csr_matrix((hi - lo, step), dtype=m.dtype), m.indptr[[lo, hi]]
-        b.data, b.indices, b.indptr = m.data[a:z], m.indices[a:z], m.indptr[: hi - lo + 1]
-        yield lo, hi, b
-
-
 def _row_ranges(sizes: tuple, step: int):
     """Consecutive ranges of at most `step` rows that cover the rows of a target
     with mixed-radix digit axes `sizes`.  Each is a box of the axes: its leading
@@ -142,6 +135,42 @@ def _row_ranges(sizes: tuple, step: int):
     for base in range(0, n, span):
         for lo in range(base, base + span, size):
             yield range(lo, min(lo + size, base + span))
+
+
+def _face_pairs(left, right) -> list:
+    """(sign, column vector) of each face pair (ka, kb) of the composite of two
+    face matrices, right applied first: row r of the pair's vector is the column
+    right_idx[kb][left_idx[ka][r]], and its sign is the product of the faces'."""
+    (a, sa), (b, sb) = left, right
+    return [(sa[ka] * sb[kb], b[kb].take(a[ka])) for ka in range(len(sa)) for kb in range(len(sb))]
+
+
+def _uncancelled(pairs: list) -> list:
+    """The face pairs left after each one cancels an earlier, still uncancelled
+    one of the opposite sign whose vector is equal to it entry for entry."""
+    rest: list = []
+    for s, v in pairs:
+        hit = next((k for k, (t, w) in enumerate(rest) if t == -s and np.array_equal(v, w)), None)
+        if hit is None:
+            rest.append((s, v))
+        else:
+            del rest[hit]
+    return rest
+
+
+def _row_residual(pairs: list, p: int) -> int:
+    """max min(r, p - r) over the entries r, mod p, of the sum of the face pairs:
+    each row's columns are sorted and the signs of equal columns added in int64."""
+    if not pairs:
+        return 0
+    cols = np.stack([v for _, v in pairs], axis=1)  # (rows, pairs)
+    order = np.argsort(cols, axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    signs = np.array([s for s, _ in pairs], dtype=np.int64)[order]
+    starts = np.ones(cols.shape, dtype=bool)
+    starts[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    r = np.add.reduceat(signs.ravel(), np.flatnonzero(starts)) % p
+    return int(np.minimum(r, p - r).max())
 
 
 class BarDoubleComplex:
@@ -184,45 +213,26 @@ class BarDoubleComplex:
         """(g, p_tuple, q_tuple) arrays for all indices at (i, j)."""
         key = ("split", i, j)
         if key not in self._digits:
-            n = self.dim(i, j)
-            qsize = self.ne**j
-            psize = self.ng**i
-            idx = np.arange(n)
-            q = idx % qsize
-            rest = idx // qsize
-            s = rest % psize
-            g = rest // psize
-            self._digits[key] = (g, s, q)
+            self._digits[key] = np.unravel_index(np.arange(self.dim(i, j)),
+                                                 (self.ng, self.ng**i, self.ne**j))
         return self._digits[key]
 
     def _tuple_digits(self, base: int, length: int) -> np.ndarray:
         key = ("dig", base, length)
         if key not in self._digits:
-            n = base**length
-            out = np.empty((n, length), dtype=np.int64)
-            idx = np.arange(n)
-            for k in range(length - 1, -1, -1):
-                out[:, k] = idx % base
-                idx = idx // base
-            self._digits[key] = out
+            self._digits[key] = np.indices((base,) * length).reshape(length, base**length).T
         return self._digits[key]
 
     def index(self, g: int, s: tuple, e: tuple) -> int:
-        i, j = len(s), len(e)
-        sidx = 0
-        for v in s:
-            sidx = sidx * self.ng + v
-        eidx = 0
-        for v in e:
-            eidx = eidx * self.ne + v
-        return (g * self.ng**i + sidx) * self.ne**j + eidx
+        sizes = (self.ng,) * (len(s) + 1) + (self.ne,) * len(e)
+        return int(np.ravel_multi_index((g, *s, *e), sizes))
 
     # -- differentials ----------------------------------------------------
 
-    def d0_matrix(self, i: int, j: int) -> sp.csr_matrix:
+    def d0_matrix(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         return self._face_matrix("d0", i, j)
 
-    def d1_matrix(self, i: int, j: int) -> sp.csr_matrix:
+    def d1_matrix(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         return self._face_matrix("d1", i, j)
 
     def _target_axes(self, name: str, i: int, j: int):
@@ -231,13 +241,16 @@ class BarDoubleComplex:
         ti, tj = (i, j + 1) if name == "d0" else (i + 1, j)
         return ti, tj, (self.ng,) * (ti + 1) + (self.ne,) * tj
 
-    def _face_matrix(self, name: str, i: int, j: int, rows: range | None = None) -> sp.csr_matrix:
-        """The CSR matrix of d0 : (i, j) -> (i, j+1) or d1 : (i, j) -> (i+1, j), or
-        of its target rows `rows` alone, a box of the digit axes as `_row_ranges`
-        cuts them; only the full matrix is cached.  Each target row holds one int8
-        sign +-1 per face at the face's int32 source column (a row may repeat a
-        column), so products of these matrices cancel exactly and store nothing
-        where they vanish.  The columns are written by broadcasting over the
+    def _face_matrix(self, name: str, i: int, j: int,
+                     rows: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The face matrix (idx, signs) of d0 : (i, j) -> (i, j+1) or
+        d1 : (i, j) -> (i+1, j), or of its target rows `rows` alone, a box of the
+        digit axes as `_row_ranges` cuts them; only the full matrix is cached.
+        Every target row has one entry per face, and an entry's sign depends
+        only on its face, so idx is int32 of shape (faces, rows), face-major:
+        idx[k, r] is the source column of face k of row r (a row may repeat a
+        column), and signs holds the int64 sign of each face, (-1)^(k+i) for d0
+        and (-1)^k for d1.  The columns are written by broadcasting over the
         target's digits (g, s_1..s_i, e_1..e_j) in the rows' box.  Face k >= 1
         drops the k-th digit of the moving block (e for d0, s for d1) and keeps
         every other digit at its source weight; face 0 drops the block's first
@@ -265,7 +278,7 @@ class BarDoubleComplex:
         move_d = grp.mul[grp.inv]  # [x, d] -> x^-1 d
         on = lambda t, *axes: t.astype(np.int32).reshape(
             [shape[a] if a in axes else 1 for a in range(len(shape))])
-        src = np.empty(n * faces, dtype=np.int32)
+        idx = np.empty((faces, n), dtype=np.int32)
         for k in range(faces):
             drop = first + max(k - 1, 0)
             w = weights[:drop] + [0] + weights[drop:]
@@ -274,15 +287,11 @@ class BarDoubleComplex:
                 terms[0] = on(move_g[np.ix_(digits[0], digits[first])] * w[0], 0, first)
                 terms.update({a: on(move_d[np.ix_(digits[first], digits[a])] * w[a], first, a)
                               for a in range(first + 1, stop)})
-            out = src.reshape(shape + [faces])[..., k]
+            out = idx[k].reshape(shape)
             out[...] = terms.pop(0)
             for t in terms.values():
                 out += t
-        signs = np.array([(-1) ** (k + (i if d0 else 0)) for k in range(faces)], dtype=np.int8)
-        m = sp.csr_matrix(
-            (np.tile(signs, n), src, np.arange(0, n * faces + 1, faces, dtype=np.int32)),
-            shape=(n, self.dim(i, j)),
-        )
+        m = idx, np.array([(-1) ** (k + (i if d0 else 0)) for k in range(faces)], dtype=np.int64)
         if rows is None:
             self._dmat[key] = m
         return m
@@ -293,27 +302,32 @@ class BarDoubleComplex:
     def d1(self, c: E0Cochain) -> E0Cochain:
         return E0Cochain(self, c.i + 1, c.j, self._apply(self.d1_matrix(c.i, c.j), c.values))
 
-    def _apply(self, m: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
-        out = np.empty(m.shape[0], dtype=np.int64)
-        for lo, hi, block in _row_blocks(m):
-            np.remainder(block @ values, self.p, out=out[lo:hi])
+    def _apply(self, m, values: np.ndarray) -> np.ndarray:
+        """The face matrix m on `values`, mod p: each face adds its sign times the
+        values at its columns, in blocks of at most as many rows as m has columns."""
+        idx, signs = m
+        out = np.zeros(idx.shape[1], dtype=np.int64)
+        step = len(values)
+        for lo in range(0, len(out), step):
+            block = out[lo:lo + step]
+            for k, s in enumerate(signs):
+                block += s * values.take(idx[k, lo:lo + step])
+            np.remainder(block, self.p, out=block)
         return out
 
     def complex_identity_residual(self, max_total: int | None = None) -> int:
-        """Exhaustive check of d0^2 = d1^2 = d0 d1 + d1 d0 = 0 on every
-        stored bidegree, via sparse products of the integer face matrices,
-        reduced mod p once.  The right operands, out of (i, j), are the cached
-        matrices.  The left operands, out of total degree i + j + 1, are built
-        in row blocks of at most as many rows as they have columns, at the
-        point of use, and each block is dropped after its product; the blocks
-        of d0 d1 and d1 d0 cover the same rows and are summed per block.  An
-        entry of a @ b is at most faces_a x faces_b times the largest
-        |coefficients| (of d0 d1 + d1 d0, the sum of two such bounds); each
-        block's product runs in the narrowest type holding its own bound,
-        since scipy keeps int8 through a product and wraps silently."""
+        """Exhaustive check of d0^2 = d1^2 = d0 d1 + d1 d0 = 0 on every stored
+        bidegree, exact over the integers and reduced mod p once.  The right
+        operands, out of (i, j), are the cached matrices.  The left operands, out
+        of total degree i + j + 1, are built in row blocks of at most as many
+        rows as they have columns, at the point of use, and dropped after the
+        block; the blocks of d0 d1 and d1 d0 cover the same rows.  In a block,
+        each pair of a left face and a right face is one column vector with one
+        sign (`_face_pairs`).  A +sign vector cancels an equal -sign one, which
+        adds zero to every row (`_uncancelled`); on a complex nothing is left.
+        What is left is summed per row in int64 and only then reduced mod p
+        (`_row_residual`), so no sum wraps and none is dropped."""
         top = self.bound if max_total is None else max_total
-        p = self.p
-        bound = lambda m: int(m.indptr[1]) * max(int(m.data.max()), -int(m.data.min()))
         worst = 0
         for i in range(top + 1):
             for j in range(top + 1 - i):
@@ -322,12 +336,9 @@ class BarDoubleComplex:
                               [(("d0", i + 1, j), d1), (("d1", i, j + 1), d0)]):
                     step = min(self.dim(a, b) for (_, a, b), _ in terms)
                     for rows in _row_ranges(self._target_axes(*terms[0][0])[2], step):
-                        lefts = [(self._face_matrix(*left, rows), b) for left, b in terms]
-                        dtype = np.min_scalar_type(-sum(bound(a) * bound(b) for a, b in lefts))
-                        prods = [a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-                                 for a, b in lefts]
-                        r = sum(prods[1:], prods[0]).data % p
-                        worst = max(worst, int(np.minimum(r, p - r).max(initial=0)))
+                        pairs = [pair for left, right in terms
+                                 for pair in _face_pairs(self._face_matrix(*left, rows), right)]
+                        worst = max(worst, _row_residual(_uncancelled(pairs), self.p))
         return worst
 
     # -- products ----------------------------------------------------------
@@ -458,13 +469,9 @@ def derivation_residual(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain):
     for both differentials: the convention self-test."""
     sphi = -1 if phi.total_degree % 2 else 1
     c = cx.product(phi, theta, "cup")
-    r0 = cx.d0(c) - cx.product(cx.d0(phi), theta, "cup") - cx.product(
-        phi, cx.d0(theta), "cup"
-    ).scale(sphi)
-    r1 = cx.d1(c) - cx.product(cx.d1(phi), theta, "cup") - cx.product(
-        phi, cx.d1(theta), "cup"
-    ).scale(sphi)
-    return max(r0.max_residual(), r1.max_residual())
+    return max((d(c) - cx.product(d(phi), theta, "cup")
+                - cx.product(phi, d(theta), "cup").scale(sphi)).max_residual()
+               for d in (cx.d0, cx.d1))
 
 
 def twist_residual(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain):
@@ -531,19 +538,26 @@ def _standard_kernel_cochain(cx: BarDoubleComplex, degree: int) -> dict[int, int
     return out
 
 
-def _ladder_solve(cx, blocks, rhs, what: str, pinned: dict[int, int] | None = None):
-    """Solve sp.bmat(blocks) x = rhs with x[idx] = val for each pinned (idx, val)
-    by one dense elimination over F_p of the blocks upcast from int8; free
-    variables are zeroed, so the solution is deterministic."""
-    m = sp.bmat(blocks, format="csr", dtype=np.int64)
+def _ladder_solve(cx, blocks, cols: list[int], rhs, what: str,
+                  pinned: dict[int, int] | None = None):
+    """Solve A x = rhs with x[idx] = val for each pinned (idx, val) by one dense
+    elimination over F_p; free variables are zeroed, so the solution is
+    deterministic.  A is the block matrix of the face matrices `blocks` (a list
+    of block rows, None a zero block), its block columns `cols` wide; face k of
+    a block adds its sign at row r, column idx[k, r]."""
+    heights = [next(m[0].shape[1] for m in row if m is not None) for row in blocks]
     pins = sorted((pinned or {}).items())
-    rows, cols = m.shape[0] + len(pins), m.shape[1]
-    check_budget(rows * cols, cx.budget, f"the dense {what} solve of the ladder")
-    a = np.zeros((rows, cols), dtype=np.int64)
-    a[: m.shape[0]] = m.toarray()
-    target = np.zeros(rows, dtype=np.int64)
-    target[: m.shape[0]] = rhs
-    for k, (idx, val) in enumerate(pins, start=m.shape[0]):
+    n = sum(heights)
+    check_budget((n + len(pins)) * sum(cols), cx.budget, f"the dense {what} solve of the ladder")
+    a = np.zeros((n + len(pins), sum(cols)), dtype=np.int64)
+    r0, c0 = np.cumsum([0, *heights]), np.cumsum([0, *cols])
+    for row, top, bottom in zip(blocks, r0, r0[1:]):
+        for m, left, right in zip(row, c0, c0[1:]):
+            if m is not None:
+                np.add.at(a[top:bottom, left:right], (np.arange(bottom - top), m[0]), m[1][:, None])
+    target = np.zeros(len(a), dtype=np.int64)
+    target[:n] = rhs
+    for k, (idx, val) in enumerate(pins, start=n):
         a[k, idx], target[k] = 1, val
     sol = solve_linear(a, target, cx.p)
     if sol is None:
@@ -556,17 +570,20 @@ def build_ladder(cx: BarDoubleComplex) -> LadderData:
     the ladder equations with free variables zeroed."""
     if cx.bound < 3:
         raise GroupError("the ladder needs bidegrees through total degree 3")
-    d0, d1 = cx.d0_matrix, cx.d1_matrix
-    u_vals = _ladder_solve(cx, [[d0(0, 1)]], 0, "u", _standard_kernel_cochain(cx, 1))
+    d0, d1, dim = cx.d0_matrix, cx.d1_matrix, cx.dim
+    u_vals = _ladder_solve(cx, [[d0(0, 1)]], [dim(0, 1)], 0, "u", _standard_kernel_cochain(cx, 1))
     u = E0Cochain(cx, 0, 1, u_vals)
-    t_vals = _ladder_solve(cx, [[d0(0, 2)]], 0, "t", _standard_kernel_cochain(cx, 2))
+    t_vals = _ladder_solve(cx, [[d0(0, 2)]], [dim(0, 2)], 0, "t", _standard_kernel_cochain(cx, 2))
     t = E0Cochain(cx, 0, 2, t_vals)
     # theta: d0(theta) = d1(u)
-    theta = E0Cochain(cx, 1, 0, _ladder_solve(cx, [[d0(1, 0)]], cx.d1(u).values, "theta"))
+    theta = E0Cochain(cx, 1, 0, _ladder_solve(cx, [[d0(1, 0)]], [dim(1, 0)], cx.d1(u).values,
+                                              "theta"))
     xi_cochain = cx.d1(theta)
     # (eta1, eta2): d0(eta1) = d1(t), d1(eta1) = d0(eta2), jointly
     rhs = np.concatenate([cx.d1(t).values, np.zeros(cx.dim(2, 1), dtype=np.int64)])
-    sol = _ladder_solve(cx, [[d0(1, 1), None], [d1(1, 1), -d0(2, 0)]], rhs, "(eta1, eta2)")
+    idx, signs = d0(2, 0)
+    blocks = [[d0(1, 1), None], [d1(1, 1), (idx, -signs)]]
+    sol = _ladder_solve(cx, blocks, [dim(1, 1), dim(2, 0)], rhs, "(eta1, eta2)")
     n1 = cx.dim(1, 1)
     eta1 = E0Cochain(cx, 1, 1, sol[:n1])
     eta2 = E0Cochain(cx, 2, 0, sol[n1:])
@@ -652,7 +669,6 @@ def build_eta_family(ladder: LadderData, n: int):
     res3 = cx.d1(eta[(2, n)]) - cup(tpow[n - 1], xi_p).scale(coeff)
     if eta.get((3, n)) is not None:
         res3 = res3 - cx.d0(eta[(3, n)])
-    if eta.get((3, n)) is not None:
         res4 = cx.d1(eta[(3, n)])
         if n >= 2 and eta[(1, n - 1)] is not None:
             res4 = res4 - cup(eta[(1, n - 1)], xi_p).scale(coeff)
@@ -688,49 +704,40 @@ def bar_differential_matrix(cx: BarDoubleComplex, degree: int) -> np.ndarray:
     """Bar differential on inhomogeneous cochains of the quotient group,
     the map induced by d_1 on row-zero vertical cocycles: d_1 restricted
     to g-constant cochains (its rows of one g block, which every g block
-    repeats; its columns summed over g).  An entry of the int8 block and
-    of its sum over g is at most degree + 2, the number of faces per row."""
+    repeats; its columns summed over g, source column g |G|^degree + s
+    landing on s)."""
     rows, cols = cx.ng ** (degree + 1), cx.ng**degree
-    block = cx.d1_matrix(degree, 0)[:rows].toarray()
-    return block.reshape(rows, cx.ng, cols).sum(axis=1, dtype=np.int64) % cx.p
+    idx, signs = cx.d1_matrix(degree, 0)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(out, (np.arange(rows), idx[:, :rows] % cols), signs[:, None])
+    return out % cx.p
 
 
-def monomial_bar_cochain(cx: BarDoubleComplex, cls, degree: int | None = None) -> np.ndarray:
+def monomial_bar_cochain(cx: BarDoubleComplex, cls, degree: int) -> np.ndarray:
     """Inhomogeneous bar cochain representing a monomial class: the
     iterated cup of the standard one- and two-cochains
     y_i(a) = a_i mod p and x_i(a, a') = carry_i(a, a'),
     factors in the monomial's canonical order."""
     q = cx.spec.quotient
     p = cx.p
-    degree = cls.degree if degree is None else degree
     out = np.zeros(cx.ng**degree, dtype=np.int64)
     digits = cx._tuple_digits(cx.ng, degree)
     for (eps, pows), coeff in cls.terms.items():
-        factors: list[tuple[str, int]] = []
-        for i, e in enumerate(eps):
-            if e:
-                factors.append(("y", i))
-        for i, a in enumerate(pows):
-            factors.extend([("x", i)] * a)
+        factors = [("y", i) for i, e in enumerate(eps) if e]
+        factors += [("x", i) for i, a in enumerate(pows) for _ in range(a)]
         vals = np.full(cx.ng**degree, coeff % p, dtype=np.int64)
         pos = 0
         prev = np.full(cx.ng**degree, cx.G.identity, dtype=np.int64)  # anchor s_pos
         for kind, i in factors:
+            coords = np.array([q.decode(v)[i] for v in range(cx.ng)])
+            a1 = cx.G.mul[cx.G.inv[prev], digits[:, pos]]
             if kind == "y":
-                a1 = cx.G.mul[cx.G.inv[prev], digits[:, pos]]
-                coords = np.array([q.decode(v)[i] for v in range(cx.ng)])
                 vals = (vals * (coords[a1] % p)) % p
-                prev = digits[:, pos]
-                pos += 1
             else:
-                a1 = cx.G.mul[cx.G.inv[prev], digits[:, pos]]
                 a2 = cx.G.mul[cx.G.inv[digits[:, pos]], digits[:, pos + 1]]
-                ni = q.factor_orders[i]
-                c1 = np.array([q.decode(v)[i] for v in range(cx.ng)])
-                carry = ((c1[a1] + c1[a2]) >= ni).astype(np.int64)
-                vals = (vals * carry) % p
-                prev = digits[:, pos + 1]
-                pos += 2
+                vals = vals * (coords[a1] + coords[a2] >= q.factor_orders[i])  # the carry
+            pos += 1 if kind == "y" else 2
+            prev = digits[:, pos - 1]
         out = (out + vals) % p
     return out
 
@@ -755,13 +762,7 @@ def row_zero_class_report(cx: BarDoubleComplex, ladder: LadderData) -> dict:
     got3 = sq3.reduce(w_xip)
     beta = bockstein(cx.spec.xi)
     want3 = sq3.reduce(monomial_bar_cochain(cx, beta, 3))
-    unit = None
-    for c in range(1, p):
-        if ((c * want3) % p == got3).all():
-            unit = c
-            break
-    if not want3.any() and not got3.any():
-        unit = 1
+    unit = next((c for c in range(1, p) if ((c * want3) % p == got3).all()), None)
     report["xi_prime_is_unit_multiple_of_bockstein"] = unit is not None
     report["xi_prime_unit"] = unit
     report["xi_prime_nonzero"] = bool(got3.any())
@@ -770,8 +771,5 @@ def row_zero_class_report(cx: BarDoubleComplex, ladder: LadderData) -> dict:
 
 def _row_cohomology_subquotient(cx: BarDoubleComplex, degree: int):
     z, free = kernel_basis(bar_differential_matrix(cx, degree), cx.p)
-    if degree == 0:
-        b = np.zeros((0, cx.ng**degree), dtype=np.int64)
-    else:
-        b = bar_differential_matrix(cx, degree - 1).T % cx.p
+    b = bar_differential_matrix(cx, degree - 1).T
     return subquotient_of(z, b, cx.ng**degree, cx.p, free)

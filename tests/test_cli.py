@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from lhsseq.cli import build_parser, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_sseq_split_case(tmp_path, capsys):
@@ -159,6 +163,34 @@ def test_massey_undefined_exits_nonzero():
 
 def test_verify_homotopy_suite():
     assert main(["verify", "--suite", "homotopy"]) == 0
+
+
+def test_verify_homotopy_suite_obeys_the_budget(capsys):
+    # orders 5 and 9 build dense tensor vectors of 125 and 729 entries; the
+    # default budget passes in test_verify_homotopy_suite
+    assert main(["verify", "--suite", "homotopy", "--budget", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a dense vector") and len(err.strip().splitlines()) == 1
+    assert "needs 125 entries, budget is 100" in err
+    assert main(["verify", "--suite", "homotopy", "--budget", "729"]) == 0
+
+
+def test_verify_needs_no_package_but_numpy(tmp_path):
+    # every installed top-level package but numpy is made unimportable (a None
+    # entry in sys.modules makes its import raise ImportError), so an import of
+    # a dropped dependency left anywhere the verifier reaches fails the run
+    out = tmp_path / "verify.json"
+    code = ("import runpy, sys\n"
+            "from importlib.metadata import packages_distributions\n"
+            "for name in set(packages_distributions()) - {'numpy', 'lhsseq'} - set(sys.modules):\n"
+            "    sys.modules[name] = None\n"
+            f"sys.argv = ['lhsseq', 'verify', '--suite', 'all', '--out', {str(out)!r}]\n"
+            "runpy.run_module('lhsseq.cli', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["all_pass"] is True
 
 
 def test_verify_ladder_suite():
@@ -348,6 +380,21 @@ def test_sseq_max_degree_below_r_max_errors(capsys):
     assert main(["sseq", "--spec", str(CONFIGS / "split_27.cfg"), "--max-degree", "8",
                  "--r-max", "9"]) == 2
     assert "use --max-degree 9 or more" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "products", "--seed", "-1"],
+    ["verify", "--suite", "products", "--seed", str(2**32)],
+    ["sseq", "--spec", str(CONFIGS / "split_27.cfg"), "--randomize", "--seed", "-5"],
+])
+def test_seed_outside_numpy_range_errors(argv, capsys):
+    # numpy's RandomState takes 0 <= seed < 2^32 and raises ValueError otherwise
+    assert main(argv) == 2
+    assert _one_line_error(capsys)
+
+
+def test_seed_at_the_top_of_numpy_range_runs():
+    assert main(["verify", "--suite", "products", "--pairs", "2", "--seed", str(2**32 - 1)]) == 0
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.extensions import ExtensionSpec
@@ -12,7 +11,9 @@ from lhsseq.groups import AbelianPGroupSpec, GroupError
 from lhsseq.fplinalg import BudgetExceeded
 from lhsseq.verifier import (
     BarDoubleComplex,
+    _face_pairs,
     _row_ranges,
+    _uncancelled,
     build_double_complex,
     build_eta_family,
     build_ladder,
@@ -115,18 +116,17 @@ def test_face_matrices_match_the_tuple_definition(fixture, request):
         for i in range(total + 1):
             j = total - i
             for name, (ti, tj) in [("d0", (i, j + 1)), ("d1", (i + 1, j))]:
-                m = getattr(cx, f"{name}_matrix")(i, j)
-                faces = m.indptr[1]
-                assert m.shape == (cx.dim(ti, tj), cx.dim(i, j))
-                assert (m.indptr == np.arange(m.shape[0] + 1) * faces).all()
+                idx, signs = getattr(cx, f"{name}_matrix")(i, j)
+                assert idx.shape == (len(signs), cx.dim(ti, tj))
+                assert (idx.dtype, signs.dtype) == (np.int32, np.int64)
+                assert 0 <= idx.min() and idx.max() < cx.dim(i, j)
                 for g, s, e in itertools.product(
                     range(cx.ng),
                     itertools.product(range(cx.ng), repeat=ti),
                     itertools.product(range(cx.ne), repeat=tj),
                 ):
                     r = cx.index(g, s, e)
-                    got = list(zip(m.indices[r * faces:(r + 1) * faces].tolist(),
-                                   m.data[r * faces:(r + 1) * faces].tolist()))
+                    got = list(zip(idx[:, r].tolist(), signs.tolist()))
                     assert got == tuple_faces(cx, name, i, j, g, s, e), (name, i, j, r)
 
 
@@ -141,21 +141,22 @@ def test_face_matrix_int32_index_guard():
 def test_face_matrix_memory():
     cx = build_double_complex(extraspecial27_extension(), 3)
     tracemalloc.start()
-    m = cx.d0_matrix(0, 3)  # 4.78M rows x 5 faces
+    idx, signs = cx.d0_matrix(0, 3)  # 4.78M rows x 5 faces, 96 MB
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    nbytes = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-    assert (m.data.dtype, m.indices.dtype, m.indptr.dtype) == (np.int8, np.int32, np.int32)
-    assert peak <= 1.25 * nbytes
+    assert (idx.dtype, idx.shape) == (np.int32, (5, cx.dim(0, 4)))
+    assert signs.tolist() == [1, -1, 1, -1, 1]
+    assert peak <= 1.05 * idx.nbytes
     assert not cx._digits
     c = cx.random_cochain(np.random.RandomState(0), 0, 3)
     tracemalloc.start()
     out = cx.d0(c)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # the output plus one block: as many rows as m has columns, each with at
-    # most faces + 2 words of 8 bytes (its upcast data, its image, its offset)
-    assert peak <= out.values.nbytes + m.shape[1] * (m.indptr[1] + 2) * 8
+    # the output plus one block's temporaries: as many rows as the matrix has
+    # columns, each with two words of 8 bytes (the values a face gathers and
+    # their signed copy), and a few small arrays
+    assert peak <= out.values.nbytes + cx.dim(0, 3) * 2 * 8 + 4096
 
 
 def test_complex_identities_exhaustive(cx4, cx9):
@@ -164,9 +165,15 @@ def test_complex_identities_exhaustive(cx4, cx9):
 
 
 def test_face_matrix_products_cancel_exactly(cx9):
-    # +-1 faces stay integers, so the entries of d^2 cancel and none is stored
-    assert (cx9.d0_matrix(0, 2) @ cx9.d0_matrix(0, 1)).nnz == 0
-    assert (cx9.d1_matrix(1, 1) @ cx9.d1_matrix(0, 1)).nnz == 0
+    # each face pair of d0 d0 and d1 d1 is one column vector, and each cancels
+    # a pair of the opposite sign equal to it entry for entry
+    for left, right in [(cx9.d0_matrix(0, 2), cx9.d0_matrix(0, 1)),
+                        (cx9.d1_matrix(1, 1), cx9.d1_matrix(0, 1))]:
+        pairs = _face_pairs(left, right)
+        assert len(pairs) == len(left[1]) * len(right[1])
+        assert all(v.shape == (left[0].shape[1],) for _, v in pairs)
+        assert _uncancelled(pairs) == []
+        assert len(_uncancelled(pairs[1:])) == 1
 
 
 # d0 (3, 0) -> (3, 1) is read through total degree 2 only by d0 d1 + d1 d0.
@@ -174,10 +181,13 @@ def test_face_matrix_products_cancel_exactly(cx9):
 def test_complex_identities_detect_a_corrupted_face(which, i, j, monkeypatch):
     cx = build_double_complex(c9_extension(), 3)
     # not row 0, the all-identity tuple, whose image under the next
-    # differential cancels, but the last face of the last row
+    # differential cancels, but the column of the last face of the last row
+    def corrupt(idx, cols):
+        idx[-1, -1] = (idx[-1, -1] + 1) % cols
+
     if i + j <= 2:
         # a right operand: the cached matrix, which every later read shares
-        getattr(cx, f"{which}_matrix")(i, j).data[-1] += 1
+        corrupt(getattr(cx, f"{which}_matrix")(i, j)[0], cx.dim(i, j))
     else:
         # a left operand only, built in row blocks at each use and never
         # cached: corrupt the block that holds the last row
@@ -187,7 +197,7 @@ def test_complex_identities_detect_a_corrupted_face(which, i, j, monkeypatch):
         def corrupted(self, name, a, b, rows=None):
             m = build(self, name, a, b, rows)
             if (name, a, b) == (which, i, j) and rows is not None and last in rows:
-                m.data[-1] += 1
+                corrupt(m[0], cx.dim(i, j))
                 hit.append(rows)
             return m
 
@@ -207,32 +217,70 @@ def test_face_matrix_blocks_stack_to_the_full_matrix(fixture, request):
         for i in range(total + 1):
             j = total - i
             for name in ("d0", "d1"):
-                full = cx._face_matrix(name, i, j)
+                full, signs = cx._face_matrix(name, i, j)
                 sizes = cx._target_axes(name, i, j)[2]
-                for step in sorted({1, 5, cx.dim(i, j), full.shape[0]}):
+                for step in sorted({1, 5, cx.dim(i, j), full.shape[1]}):
                     ranges = list(_row_ranges(sizes, step))
                     assert all(0 < len(r) <= step for r in ranges)
                     assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
                     blocks = [cx._face_matrix(name, i, j, r) for r in ranges]
-                    for b, r in zip(blocks, ranges):
-                        assert b.shape == (len(r), full.shape[1])
-                        assert (b.data.dtype, b.indices.dtype) == (np.int8, np.int32)
-                    m = sp.vstack(blocks, format="csr")
-                    assert m.shape == full.shape
-                    for part in ("indices", "indptr", "data"):
-                        assert np.array_equal(getattr(m, part), getattr(full, part)), (
-                            name, i, j, step, part)
+                    for (b, s), r in zip(blocks, ranges):
+                        assert (b.shape, b.dtype) == ((len(signs), len(r)), np.int32)
+                        assert np.array_equal(s, signs), (name, i, j, step)
+                    m = np.concatenate([b for b, _ in blocks], axis=1)
+                    assert np.array_equal(m, full), (name, i, j, step)
 
 
 def test_complex_identities_exact_past_int8():
-    # all faces of row 0 (the all-identity tuple) hit column 0, so its signs
-    # summing to 130 make entry (0, 0) of d0(0, 2) d0(0, 1) 130 = 1 mod 3; in
-    # int8 it would wrap to -126 = 0 mod 3 and the residual would read 0
+    # all faces of row 0 (the all-identity tuple) hit column 0, in d0 out of
+    # (0, 3) and in d0 out of (0, 2), so row 0 of their composite sums every
+    # face pair at column 0: the signs of d0(0, 2) then add up to 0, and with
+    # face 0's sign made 257 to 256 = 1 mod 3.  A face pair's sign or a row's
+    # sum kept in int8 would wrap 257 back to 1 and the residual would read 0.
     cx = build_double_complex(c9_extension(), 3)
-    m = cx.d0_matrix(0, 2)
-    assert (m.indices[:4] == 0).all()
-    m.data[:4] = [127, 1, 1, 1]
+    idx, signs = cx.d0_matrix(0, 2)
+    assert (idx[:, 0] == 0).all() and (cx._face_matrix("d0", 0, 3, range(1))[0] == 0).all()
+    signs[0] += 256
     assert cx.complex_identity_residual(2) == 1
+
+
+@pytest.mark.parametrize("spec,top", [(c4_extension, 2), (c9_extension, 1)])
+def test_complex_identities_match_a_dense_referee(spec, top, monkeypatch):
+    # one face index of d0 out of (1, 0), which the check reads both as a right
+    # operand and in left blocks, corrupted alike in the full matrix and in
+    # the block that holds its row; the referee multiplies dense matrices
+    cx = build_double_complex(spec(), 3)
+    build, p = BarDoubleComplex._face_matrix, cx.p
+    row = cx.dim(1, 1) // 2 + 1
+
+    def corrupted(self, name, a, b, rows=None):
+        idx, signs = build(self, name, a, b, rows)
+        r = row - (0 if rows is None else rows.start)
+        if (name, a, b) == ("d0", 1, 0) and 0 <= r < idx.shape[1]:
+            idx = idx.copy()
+            idx[0, r] = (idx[0, r] + 1) % cx.dim(1, 0)
+        return idx, signs
+
+    monkeypatch.setattr(BarDoubleComplex, "_face_matrix", corrupted)
+
+    def dense(name, i, j):
+        idx, signs = cx._face_matrix(name, i, j)
+        a = np.zeros((idx.shape[1], cx.dim(i, j)), dtype=np.int64)
+        for k, s in enumerate(signs):
+            a[np.arange(idx.shape[1]), idx[k]] += s  # no row repeats a column within one face
+        return a
+
+    worst = 0
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            for m in (dense("d0", i, j + 1) @ dense("d0", i, j),
+                      dense("d1", i + 1, j) @ dense("d1", i, j),
+                      dense("d0", i + 1, j) @ dense("d1", i, j)
+                      + dense("d1", i, j + 1) @ dense("d0", i, j)):
+                r = m % p
+                worst = max(worst, int(np.minimum(r, p - r).max()))
+    assert worst == 1
+    assert cx.complex_identity_residual(top) == worst
 
 
 @pytest.mark.slow
@@ -243,7 +291,7 @@ def test_complex_identities_extraspecial_27():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # the left operands out of total degree 3 (d0 out of (0, 3) alone would
-    # be 139 MB) are built in blocks and dropped; only the right operands stay
+    # be 96 MB) are built in blocks and dropped; only the right operands stay
     assert peak <= 64 * 2**20
     assert all(i + j < 3 for _, i, j in cx._dmat)
 
