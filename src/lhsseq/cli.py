@@ -17,6 +17,7 @@ identical inputs give byte-identical files; timing goes to the text log.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -246,12 +247,12 @@ def cmd_massey(args) -> int:
     return 0
 
 
-def _verify_products(rng, pairs, budget):
-    from .verifier import build_double_complex, derivation_residual, twist_residual
+def _verify_products(rng, pairs, complex_of):
+    from .verifier import derivation_residual, twist_residual
 
     results = {}
-    for _, spec in _test_extensions(slow=False):
-        cx = build_double_complex(spec, 3, budget=budget)
+    for name, _ in _test_extensions(slow=False):
+        cx = complex_of(name)
         worst_a = worst_d = worst_t = 0
         done = 0
         while done < pairs:
@@ -267,9 +268,9 @@ def _verify_products(rng, pairs, budget):
             lhs = cx.product(cx.product(phi, theta, "cup"), rho, "cup")
             rhs = cx.product(phi, cx.product(theta, rho, "cup"), "cup")
             worst_a = max(worst_a, (lhs - rhs).max_residual())
-        results[f"cup-associativity-p{spec.p}"] = worst_a
-        results[f"derivation-property-p{spec.p}"] = worst_d
-        results[f"twisted-product-p{spec.p}"] = worst_t
+        results[f"cup-associativity-p{cx.p}"] = worst_a
+        results[f"derivation-property-p{cx.p}"] = worst_d
+        results[f"twisted-product-p{cx.p}"] = worst_t
     return results
 
 
@@ -299,15 +300,15 @@ def _test_extensions(slow: bool):
     return out
 
 
-def _verify_cup1(rng, pairs, slow, budget):
-    from .verifier import build_double_complex, check_lemma1
+def _verify_cup1(rng, pairs, slow, complex_of):
+    from .verifier import check_lemma1
 
     results = {}
-    for name, spec in _test_extensions(slow):
-        cx = build_double_complex(spec, 3, budget=budget)
+    for name, _ in _test_extensions(slow):
+        cx = complex_of(name)
         worst = 0
         done = 0
-        n_pairs = pairs if spec.quotient.order <= 3 else max(4, pairs // 20)
+        n_pairs = pairs if cx.ng <= 3 else max(4, pairs // 20)
         while done < n_pairs:
             i1, j1, i2, j2 = rng.randint(0, 4, size=4)
             if i1 + j1 + i2 + j2 > 3:
@@ -323,30 +324,27 @@ def _verify_cup1(rng, pairs, slow, budget):
     return results
 
 
-def _verify_ladder(budget):
-    from .verifier import build_double_complex, build_ladder, row_zero_class_report
+def _verify_ladder(ladder_of):
+    from .verifier import row_zero_class_report
 
     results = {}
-    for name, spec in _test_extensions(slow=False):
-        cx = build_double_complex(spec, 3, budget=budget)
-        ladder = build_ladder(cx)
+    for name, _ in _test_extensions(slow=False):
+        ladder = ladder_of(name)
         results[f"ladder-{name}"] = max(ladder.residuals().values())
-        report = row_zero_class_report(cx, ladder)
+        report = row_zero_class_report(ladder.complex, ladder)
         results[f"class-identification-{name}"] = (
             0 if report["xi_class_matches"] and report["xi_prime_is_unit_multiple_of_bockstein"] else 1
         )
     return results
 
 
-def _verify_tpower(budget):
-    from .verifier import build_double_complex, build_eta_family, build_ladder
+def _verify_tpower(ladder_of):
+    from .verifier import build_eta_family
 
     results = {}
-    for name, spec in _test_extensions(slow=False):
-        cx = build_double_complex(spec, 3, budget=budget)
-        ladder = build_ladder(cx)
+    for name, _ in _test_extensions(slow=False):
         for n in (1, 2):
-            _, res = build_eta_family(ladder, n)
+            _, res = build_eta_family(ladder_of(name), n)
             results[f"tpower-n{n}-{name}"] = max(res.values())
     return results
 
@@ -371,12 +369,19 @@ def _verify_homotopy(budget):
 def cmd_verify(args) -> int:
     if args.pairs < 1:
         raise ParseError(f"--pairs must be at least 1, got {args.pairs}")
+    from .verifier import build_double_complex, build_ladder
+
     rng = np.random.RandomState(args.seed)
+    specs = dict(_test_extensions(slow=True))
+    # one double complex and one ladder per test extension, shared by the suites
+    complex_of = functools.cache(
+        lambda name: build_double_complex(specs[name], 3, budget=args.budget))
+    ladder_of = functools.cache(lambda name: build_ladder(complex_of(name)))
     suites = {
-        "products": lambda: _verify_products(rng, args.pairs, args.budget),
-        "cup1": lambda: _verify_cup1(rng, args.pairs, args.slow, args.budget),
-        "ladder": lambda: _verify_ladder(args.budget),
-        "tpower": lambda: _verify_tpower(args.budget),
+        "products": lambda: _verify_products(rng, args.pairs, complex_of),
+        "cup1": lambda: _verify_cup1(rng, args.pairs, args.slow, complex_of),
+        "ladder": lambda: _verify_ladder(ladder_of),
+        "tpower": lambda: _verify_tpower(ladder_of),
         "homotopy": lambda: _verify_homotopy(args.budget),
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]

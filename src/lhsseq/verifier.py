@@ -44,7 +44,13 @@ The product is the sum, over each pair of a P term and a Q term, of
 sign a(g_a, .) b(g_b, .): g_f is g, times s_anchor on the right when f reads
 P's relative piece, and times pi(e_anchor)^-1 on the left when f reads Q's.
 The sign is (-1) to the sum of the two sides' exponents, i2 j1 for the
-middle swap, and ti when the cup1 split is on the Q side.
+middle swap, and ti when the cup1 split is on the Q side.  So the index f
+reads at a target row is a sum of small tables broadcast over the target's
+digit axes, each times its weight: one per digit f reads, on the digit's
+axis (x^-1 d on the (anchor, d) axes), and g_f on the axes of g and f's
+anchors.  One plan per signature (kind, i1, j1, i2, j2), cached on the
+complex, holds the signs and these tables; a call sums each factor's tables
+into one index vector, gathers its values in place, multiplies and adds.
 """
 
 from __future__ import annotations
@@ -192,6 +198,7 @@ class BarDoubleComplex:
                      f"a cochain of total degree {bound}")
         self._digits: dict = {}
         self._dmat: dict = {}
+        self._plans: dict = {}
 
     # -- bases ---------------------------------------------------------
 
@@ -200,22 +207,11 @@ class BarDoubleComplex:
             return 0
         return self.ng ** (i + 1) * self.ne**j
 
-    def zero(self, i: int, j: int) -> E0Cochain:
-        return E0Cochain(self, i, j, np.zeros(self.dim(i, j), dtype=np.int64))
-
     def random_cochain(self, rng, i: int, j: int) -> E0Cochain:
         return E0Cochain(self, i, j, rng.randint(0, self.p, size=self.dim(i, j)))
 
     def unit(self) -> E0Cochain:
         return E0Cochain(self, 0, 0, np.ones(self.ng, dtype=np.int64))
-
-    def _split_index(self, i: int, j: int):
-        """(g, p_tuple, q_tuple) arrays for all indices at (i, j)."""
-        key = ("split", i, j)
-        if key not in self._digits:
-            self._digits[key] = np.unravel_index(np.arange(self.dim(i, j)),
-                                                 (self.ng, self.ng**i, self.ne**j))
-        return self._digits[key]
 
     def _tuple_digits(self, base: int, length: int) -> np.ndarray:
         key = ("dig", base, length)
@@ -276,8 +272,7 @@ class BarDoubleComplex:
         first, stop = (ti + 1, len(sizes)) if d0 else (1, ti + 1)  # the moving block's axes
         move_g = self.G.mul[self.G.inv[self.pi]].T if d0 else self.G.mul  # [g, x]
         move_d = grp.mul[grp.inv]  # [x, d] -> x^-1 d
-        on = lambda t, *axes: t.astype(np.int32).reshape(
-            [shape[a] if a in axes else 1 for a in range(len(shape))])
+        on = lambda t, *axes: _on_axes(t.astype(np.int32), axes, shape)
         idx = np.empty((faces, n), dtype=np.int32)
         for k in range(faces):
             drop = first + max(k - 1, 0)
@@ -344,56 +339,70 @@ class BarDoubleComplex:
     # -- products ----------------------------------------------------------
 
     def product(self, a: E0Cochain, b: E0Cochain, kind: str) -> E0Cochain:
-        """One of the five chain-level products; see the module docstring.
+        """One of the five chain-level products, by its plan; see the module
+        docstring.  Bidegree shifts: cup/wedge/twist (0,0), cup10 (-1,0), cup01 (0,-1)."""
+        key = (kind, a.i, a.j, b.i, b.j)
+        if key not in self._plans:
+            self._plans[key] = self._product_plan(*key)
+        ti, tj, shape, plan = self._plans[key]
+        out, ia, ib = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+        for sign, a_terms, b_terms in plan:
+            for idx, c, terms in ((ia, a, a_terms), (ib, b, b_terms)):
+                np.copyto(idx, terms[0])
+                for t in terms[1:]:
+                    idx += t
+                c.values.take(idx, out=idx, mode="clip")  # unbuffered: entry r read, then written
+            ia *= ib
+            (np.add if sign > 0 else np.subtract)(out, ia, out=out)
+        return E0Cochain(self, ti, tj, np.remainder(out, self.p, out=out).reshape(-1))
 
-        Bidegree shifts: cup/wedge/twist (0,0), cup10 (-1,0), cup01 (0,-1).
-        """
+    def _product_plan(self, kind: str, ai: int, aj: int, bi: int, bj: int):
+        """(ti, tj, the target's axis sizes, [(sign, a's terms, b's terms)]) of the
+        product `kind` of a in (ai, aj) and b in (bi, bj); see the module docstring."""
         if kind not in PRODUCT_KINDS:
             raise GroupError(f"unknown product kind {kind!r}")
         p_split, q_split = _SPLITS[kind]
-        ti = a.i + b.i - (p_split == "cup1")
-        tj = a.j + b.j - (q_split == "cup1")
+        ti, tj = ai + bi - (p_split == "cup1"), aj + bj - (q_split == "cup1")
         if ti < 0 or tj < 0:
             raise GroupError("product lands in a negative bidegree")
         if ti + tj > self.bound + 2:
             raise GroupError("product exceeds the stored bidegree bound")
-        check_budget(self.dim(ti, tj) * max(ti, tj, 1), self.budget,
-                     f"a product in bidegree ({ti}, {tj})")
-        ng, ne, mul, inv = self.ng, self.ne, self.G.mul, self.G.inv
-        g, s, q = self._split_index(ti, tj)
-        value = lambda c, x, pk, qk: c.values[(x * ng**c.i + pk) * ne**c.j + qk]
-        q_terms = list(_split_terms(q_split, self._tuple_digits(ne, tj)[q], a.j, b.j, self.E))
-        out = np.zeros(len(g), dtype=np.int64)
-        for pa, pb, s_anchor, p_exp, p_rel in _split_terms(
-                p_split, self._tuple_digits(ng, ti)[s], a.i, b.i, self.G):
-            for qa, qb, e_anchor, q_exp, q_rel in q_terms:
-                x = {"a": g, "b": g}
-                x[p_rel] = mul[x[p_rel], s_anchor]
-                x[q_rel] = mul[inv[self.pi[e_anchor]], x[q_rel]]
-                sign = (-1) ** (p_exp + q_exp + b.i * a.j + ti * (q_split == "cup1"))
-                out += sign * value(a, x["a"], pa, qa) * value(b, x["b"], pb, qb)
-        return E0Cochain(self, ti, tj, out % self.p)
+        check_budget(self.dim(ti, tj), self.budget, f"a product in bidegree ({ti}, {tj})")
+        ng, ne, G, E = self.ng, self.ne, self.G, self.E
+        shape = (ng,) * (ti + 1) + (ne,) * tj
+        on = lambda t, *axes: _on_axes(t, axes, shape)
+        # the digit on axis d, read relative to the anchor on axis k unless k = 0
+        read = lambda grp, k, d: on(grp.mul[grp.inv], k, d) if k else on(np.arange(grp.order), d)
+        plan = []
+        for p_exp, *p_reads in _side_terms(p_split, ti, ai, bi):
+            for q_exp, *q_reads in _side_terms(q_split, tj, aj, bj):
+                terms = []
+                for (fi, fj), (ps, sk), (qs, ek) in zip(((ai, aj), (bi, bj)), p_reads, q_reads):
+                    x = G.mul[on(np.arange(ng), 0), on(np.arange(ng), sk) if sk else G.identity]
+                    x = G.mul[G.inv[self.pi[on(np.arange(ne), ti + ek)]], x] if ek else x
+                    parts = [x, *(read(G, sk, d) for d in ps),
+                             *(read(E, ek and ti + ek, ti + d) for d in qs)]
+                    sizes = [ng] * (fi + 1) + [ne] * fj  # the factor's own digit axes
+                    terms.append([t * math.prod(sizes[c + 1:]) for c, t in enumerate(parts)])
+                plan.append(((-1) ** (p_exp + q_exp + bi * aj + ti * (q_split == "cup1")), *terms))
+        return ti, tj, shape, plan
 
 
-def _split_terms(split: str, digits: np.ndarray, m: int, n: int, grp):
-    """The terms of one side's split (the module docstring's table) of the
-    target digits d_1..d_t, one row per target index, between a of degree m
-    and b of degree n on this side: (a's index, b's index, anchor, sign
-    exponent, the factor "a" or "b" that reads the relative piece)."""
-    rows, t = digits.shape
-    radix = lambda d: d @ grp.order ** np.arange(d.shape[1] - 1, -1, -1)
-    anchor = lambda k: digits[:, k - 1] if k else np.full(rows, grp.identity)
-    rel = lambda x, lo, hi: radix(grp.mul[grp.inv[x][:, None], digits[:, lo:hi]])
-    if split == "cup1":
-        for k in range(m if n else 0):  # no term when b has degree 0 on this side
-            c, x = k + n, anchor(k)
-            outer = radix(np.concatenate([digits[:, :k], digits[:, c - 1:]], axis=1))
-            yield outer, rel(x, k, c), x, t + (t - k - 1) * (c - k - 1), "b"
-    else:
-        front = m if split == "ab" else n
-        x = anchor(front)
-        pre, suf = radix(digits[:, :front]), rel(x, front, t)
-        yield (pre, suf, x, 0, "b") if split == "ab" else (suf, pre, x, m * n, "a")
+def _on_axes(t: np.ndarray, axes: tuple, shape) -> np.ndarray:
+    """t on the digit axes `axes` (in increasing order), broadcast over axes of sizes `shape`."""
+    return t.reshape([shape[a] if a in axes else 1 for a in range(len(shape))])
+
+
+def _side_terms(split: str, t: int, m: int, n: int) -> list:
+    """The terms of one side's split (the module docstring's table) of d_1..d_t
+    between a of degree m and b of degree n on this side: (sign exponent, then
+    for a and for b the positions it reads and the anchor's, 0 for none)."""
+    if split == "cup1":  # c = k + n; no term when b has degree 0 on this side
+        return [(t + (t - k - 1) * (n - 1), ([*range(1, k + 1), *range(k + n, t + 1)], 0),
+                 ([*range(k + 1, k + n + 1)], k)) for k in range(m if n else 0)]
+    front = m if split == "ab" else n
+    pre, suf = ([*range(1, front + 1)], 0), ([*range(front + 1, t + 1)], front)
+    return [(0, pre, suf) if split == "ab" else (m * n, suf, pre)]
 
 
 def build_double_complex(spec: ExtensionSpec, bound: int,
@@ -434,9 +443,8 @@ def check_lemma1(cx: BarDoubleComplex, phi: E0Cochain, theta: E0Cochain):
                                                 d1theta=d1theta, wedge=wedge)
         if "cup01" in c:
             out["d0-cup01"] = r0["cup01"] - wedge + cx.product(theta, phi, "cup").scale(stw)
-            out["d1-cup01"] = cx.d1(c["cup01"]) + cx.product(d1phi, theta, "cup01") + cx.product(
-                phi, d1theta, "cup01"
-            ).scale(sphi)
+            out["d1-cup01"] = (cx.d1(c["cup01"]) + cx.product(d1phi, theta, "cup01")
+                               + cx.product(phi, d1theta, "cup01").scale(sphi))
     return [(name, out.get(name)) for name in ("d0-cup10", "d1-cup10", "d0-cup01", "d1-cup01")]
 
 
@@ -588,16 +596,7 @@ def build_ladder(cx: BarDoubleComplex) -> LadderData:
     eta1 = E0Cochain(cx, 1, 1, sol[:n1])
     eta2 = E0Cochain(cx, 2, 0, sol[n1:])
     xi_prime = cx.d1(eta2)
-    return LadderData(
-        complex=cx,
-        u=u,
-        t=t,
-        theta=theta,
-        xi_cochain=xi_cochain,
-        eta1=eta1,
-        eta2=eta2,
-        xi_prime_cochain=xi_prime,
-    )
+    return LadderData(cx, u, t, theta, xi_cochain, eta1, eta2, xi_prime)
 
 
 def build_eta_family(ladder: LadderData, n: int):

@@ -197,6 +197,21 @@ def test_verify_ladder_suite():
     assert main(["verify", "--suite", "ladder"]) == 0
 
 
+def test_verify_suites_alone_match_their_entries_in_all(tmp_path):
+    # `all` builds one double complex per test extension and one ladder per
+    # spec for every suite; a suite run alone builds its own
+    def results(suite):
+        out = tmp_path / f"{suite}.json"
+        assert main(["verify", "--suite", suite, "--seed", "5", "--pairs", "20",
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())["results"]
+
+    every = results("all")
+    for suite in ("products", "ladder", "tpower"):
+        alone = results(suite)
+        assert alone and {k: every[k] for k in alone} == alone, suite
+
+
 def test_expand_subcommand(capsys):
     rc = main(
         ["expand", "--num", "1,1", "--den", "1,-1", "--den", "1,0,0,0,0,0,-1", "--N", "8"]

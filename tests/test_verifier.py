@@ -370,6 +370,101 @@ def test_product_values_are_pinned(cx4, cx9):
     assert h.hexdigest() == PRODUCT_DIGEST
 
 
+# the module docstring's table: the split of each kind on the P and Q sides
+SPLITS = {"cup": ("ab", "ab"), "wedge": ("ba", "ab"), "twist": ("ba", "ba"),
+          "cup10": ("cup1", "ab"), "cup01": ("ba", "cup1")}
+
+
+def split_terms(split, d, m, n, grp):
+    """(a's digits, b's digits, anchor, exponent, the factor reading the
+    relative piece) of each term of one side's split of the digits d."""
+    t, d = len(d), (grp.identity, *d)  # d[0] is the identity
+    rel = lambda x, ds: tuple(int(grp.mul[grp.inv[x], y]) for y in ds)
+    if split == "ab":
+        return [(d[1:m + 1], rel(d[m], d[m + 1:]), d[m], 0, "b")]
+    if split == "ba":
+        return [(rel(d[n], d[n + 1:]), d[1:n + 1], d[n], m * n, "a")]
+    out = []
+    for k in range(m if n else 0):  # cup1
+        c = k + n
+        out.append((d[1:k + 1] + d[c:], rel(d[k], d[k + 1:c + 1]), d[k],
+                    t + (t - k - 1) * (c - k - 1), "b"))
+    return out
+
+
+def tuple_product(cx, a, b, kind, g, s, e):
+    """The product's value at the target tuple (g, s, e), term by term."""
+    G, p_split, q_split = cx.G, *SPLITS[kind]
+    total = 0
+    for pa, pb, s_anchor, p_exp, p_rel in split_terms(p_split, s, a.i, b.i, G):
+        for qa, qb, e_anchor, q_exp, q_rel in split_terms(q_split, e, a.j, b.j, cx.E):
+            x = {"a": g, "b": g}
+            x[p_rel] = G.mul[x[p_rel], s_anchor]
+            x[q_rel] = G.mul[G.inv[cx.pi[e_anchor]], x[q_rel]]
+            sign = (-1) ** (p_exp + q_exp + b.i * a.j + len(s) * (q_split == "cup1"))
+            total += (sign * int(a.values[cx.index(x["a"], pa, qa)])
+                      * int(b.values[cx.index(x["b"], pb, qb)]))
+    return total % cx.p
+
+
+def product_cases(cx, rng, max_total=3):
+    """(a, b, kind) for a random pair in each pair of bidegrees through
+    `max_total` and each kind that lands in a bidegree."""
+    for i1, j1, i2, j2 in itertools.product(range(max_total + 1), repeat=4):
+        if i1 + j1 + i2 + j2 <= max_total:
+            a, b = cx.random_cochain(rng, i1, j1), cx.random_cochain(rng, i2, j2)
+            for kind in SPLITS:
+                if (kind != "cup10" or i1 + i2) and (kind != "cup01" or j1 + j2):
+                    yield a, b, kind
+
+
+@pytest.mark.parametrize("fixture", ["cx4", "cx9", "cx27"])
+def test_products_match_the_tuple_definition(fixture, request):
+    # every target row through total degree 3 on the cyclic complexes, and
+    # 30 sampled rows per case on the order-27 complex, whose E is non-abelian
+    cx = request.getfixturevalue(fixture) if fixture != "cx27" else (
+        build_double_complex(extraspecial27_extension(), 3))
+    rng = np.random.RandomState(11)
+    for a, b, kind in product_cases(cx, rng):
+        c = cx.product(a, b, kind)
+        sizes = (cx.ng,) * (c.i + 1) + (cx.ne,) * c.j
+        rows = range(len(c.values)) if fixture != "cx27" else rng.randint(len(c.values), size=30)
+        for r in rows:
+            g, *digits = np.unravel_index(r, sizes)
+            s, e = tuple(digits[:c.i]), tuple(digits[c.i:])
+            want = tuple_product(cx, a, b, kind, g, s, e)
+            assert c.values[r] == want, (kind, a.i, a.j, b.i, b.j, r)
+
+
+def test_product_plans_and_memory():
+    cx = build_double_complex(extraspecial27_extension(), 3)
+    rng = np.random.RandomState(3)
+    # a cup1 pass: the coboundary formulas on a pair in each pair of
+    # bidegrees through total degree 2 (products land through degree 3)
+    for i1, j1, i2, j2 in itertools.product(range(3), repeat=4):
+        if i1 + j1 + i2 + j2 <= 2:
+            phi, theta = cx.random_cochain(rng, i1, j1), cx.random_cochain(rng, i2, j2)
+            assert all(r is None or r.is_zero() for _, r in check_lemma1(cx, phi, theta))
+    nbytes = 0
+    for _, _, shape, plan in cx._plans.values():
+        for t in (t for _, *terms in plan for factor in terms for t in factor):
+            # a table on at most three of the target's digit axes, broadcast over the rest
+            assert t.ndim == len(shape) and all(n in (1, size) for n, size in zip(t.shape, shape))
+            assert sum(n > 1 for n in t.shape) <= 3
+            nbytes += t.nbytes
+    assert len(cx._plans) > 50 and nbytes < 2**20
+    a, b = cx.random_cochain(rng, 0, 1), cx.random_cochain(rng, 0, 2)
+    cx.product(a, b, "cup")
+    tracemalloc.start()
+    out = cx.product(a, b, "cup")  # 177,147 rows
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # the output and one index vector per factor, into which its values are
+    # gathered, beside the one ufunc buffer of numpy's broadcasting add
+    assert peak <= 3 * out.values.nbytes + np.getbufsize() * 8 + 4096
+    assert not cx._digits
+
+
 # -- coboundary formulas ---------------------------------------------------
 
 
