@@ -75,7 +75,7 @@ from .fplinalg import (DEFAULT_BUDGET, LinAlgError, check_budget, kernel_basis, 
                        product_dtype, rank_profile, solve_linear, subquotient_of,
                        work_dtype)
 from .groups import FiniteGroupTable, GroupError, smallest_prime_factor
-from .resolutions import Resolution, abelian_minimal_resolution
+from .resolutions import Resolution, _act_matrix, _module_rows, abelian_minimal_resolution
 
 __all__ = [
     "minimal_resolution",
@@ -109,21 +109,6 @@ def _generating_set(group: FiniteGroupTable) -> list[int]:
     return gens
 
 
-def _act_matrix(group: FiniteGroupTable, g: int, n_blocks: int) -> np.ndarray:
-    """Gather indices for left multiplication: (g v) = v[perm].
-
-    Coordinate (b, h) of the module holds the coefficient of h * gen_b, so
-    (g v)[b, g h] = v[b, h], i.e. perm[b, g h] = (b, h).
-    """
-    order = group.order
-    perm = np.empty(n_blocks * order, dtype=np.int64)
-    block = np.arange(n_blocks)[:, None] * order
-    perm[(block + group.mul[g, np.arange(order)][None, :]).ravel()] = (
-        block + np.arange(order)[None, :]
-    ).ravel()
-    return perm
-
-
 def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None = None,
                        budget: int = DEFAULT_BUDGET) -> Resolution:
     """Minimal free resolution of F_p over F_p[group], group a p-group;
@@ -141,6 +126,8 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
     * a kernel basis is the identity on its free columns, so it is already
       the echelon basis of K_n: ``subquotient_of`` checks that the
       translates lie in K_n and reduces them against it as it stands.
+
+    d_n is kept as its generators' images, the representatives as columns.
     """
     if p is None:
         p = smallest_prime_factor(group.order)
@@ -149,17 +136,20 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
     order = group.order
     gens = _generating_set(group)
     ranks = [1]
-    diffs: list[np.ndarray] = []
+    images: list[np.ndarray] = []
     image = 1  # rank of d_{n-1}: by exactness, the dimension of the kernel before it
     for n in range(1, max_degree + 1):
         n_blocks = ranks[-1]
         check_budget(len(gens) * (n_blocks * order - image) * n_blocks * order, budget,
                      f"the translates of the kernel of d_{n - 1}")
         # ker d_{n-1} is the kernel of its rows at the free columns of the
-        # kernel before it (d_0, the augmentation, is one row); the rows are
-        # a temporary, freed before the translates are built
-        k, free = kernel_basis(
-            diffs[-1][free] if diffs else np.ones((1, order), dtype=np.int64), p)
+        # kernel before it (d_0, the augmentation, is one row), gathered
+        # from its images and freed before the translates are built
+        if images:
+            check_budget(image * n_blocks * order, budget,
+                         f"the rows of d_{n - 1} at the free columns")
+        k, free = kernel_basis(_module_rows(group, images[-1], free) if images
+                               else np.ones((1, order), dtype=np.int64), p)
         # the translates (g - 1) K_n, one block per generator, written as
         # residues into one array of the elimination's working dtype
         kw, rows = k.astype(work_dtype(p)), k.shape[0]
@@ -168,23 +158,16 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
             block = radk[i * rows : (i + 1) * rows]
             np.subtract(kw[:, _act_matrix(group, g, n_blocks)], kw, out=block)
             np.remainder(block, p, out=block)
-        sq = subquotient_of(k, radk, k.shape[1], p, free)
-        reps = sq.quotient_reps
-        new_rank = reps.shape[0]
-        check_budget(n_blocks * new_rank * order**2, budget, f"d_{n} of the minimal resolution")
-        d = np.zeros((n_blocks * order, new_rank * order), dtype=np.int64)
-        perms = np.stack([_act_matrix(group, g, n_blocks) for g in range(order)])
-        for b in range(new_rank):
-            # column (b, g) is g * rep_b
-            d[:, b * order : (b + 1) * order] = reps[b][perms].T
-        ranks.append(new_rank)
-        diffs.append(d)
+        reps = subquotient_of(k, radk, k.shape[1], p, free).quotient_reps
+        check_budget(n_blocks * reps.shape[0] * order, budget, f"d_{n} of the minimal resolution")
+        ranks.append(reps.shape[0])
+        images.append(np.ascontiguousarray(reps.T))
         image = k.shape[0]
     return Resolution(
         group=group,
         p=p,
         ranks=ranks,
-        differentials=diffs,
+        images=images,
         basis_labels=[list(range(r)) for r in ranks],
         kind="minimal",
     )
@@ -261,7 +244,7 @@ class _HomDoubleComplex:
         ai, ai1, ng = self.a(i), self.a(i + 1), self.ng
         # P coordinate (alpha, h) of d(g gen_alpha') becomes entry
         # ((g, alpha'), (h, alpha)) of the adjoint
-        d = self.P.differentials[i].reshape(ai, ng, ai1, ng)
+        d = self.P.dense(i + 1).reshape(ai, ng, ai1, ng)
         return d.transpose(3, 2, 1, 0).reshape(ng * ai1, ng * ai)
 
     def d1_block(self, i: int, j: int) -> np.ndarray:
@@ -279,7 +262,7 @@ class _HomDoubleComplex:
         if rows == 0 or cols == 0:
             return np.zeros((rows, cols), dtype=np.int64)
         ne, bj, bj1 = self.E.order, self.b(j), self.b(j + 1)
-        d = self.Q.differentials[j][:, self.E.identity :: ne].reshape(bj, ne, bj1)
+        d = self.Q.images[j].reshape(bj, ne, bj1)
         f = np.zeros((self.ng, bj1, bj), dtype=np.int64)
         np.add.at(f, self.pi, d.transpose(1, 2, 0))
         f = f[self.G.mul[:, self.G.inv]]  # [g, g', beta', beta]

@@ -153,15 +153,18 @@ def _face_pairs(left, right) -> list:
 
 def _uncancelled(pairs: list) -> list:
     """The face pairs left after each one cancels an earlier, still uncancelled
-    one of the opposite sign whose vector is equal to it entry for entry."""
-    rest: list = []
+    one of the opposite sign whose vector is equal to it entry for entry.
+    Equal vectors agree on a sample of their entries (every (size // 16)-th),
+    so the pairs are bucketed by its bytes and compared in full in a bucket."""
+    pending: dict[bytes, list] = {}
     for s, v in pairs:
-        hit = next((k for k, (t, w) in enumerate(rest) if t == -s and np.array_equal(v, w)), None)
+        bucket = pending.setdefault(v[:: max(1, v.size // 16)].tobytes(), [])
+        hit = next((k for k, (t, w) in enumerate(bucket) if t == -s and np.array_equal(v, w)), None)
         if hit is None:
-            rest.append((s, v))
+            bucket.append((s, v))
         else:
-            del rest[hit]
-    return rest
+            del bucket[hit]
+    return [pair for bucket in pending.values() for pair in bucket]
 
 
 def _row_residual(pairs: list, p: int) -> int:

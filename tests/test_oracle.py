@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,22 @@ def test_minimal_resolution_differentials_are_pinned(name, deg, want):
     assert _digest(minimal_resolution(_digest_group(name), deg)) == want
 
 
+def test_minimal_resolution_holds_generator_images_only():
+    # d_n is kept as its generator images, rank(n-1)|E| x rank(n): the
+    # resolution of extraspecial_27 to degree 9 holds 0.13 MB, where the
+    # dense d_n took 3.39 MB
+    g = _digest_group("extraspecial_27")
+    tracemalloc.start()
+    try:
+        res = minimal_resolution(g, 9)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [d.shape for d in res.images] == [
+        (res.rank(n - 1) * 27, res.rank(n)) for n in range(1, 10)]
+    assert held < 200_000
+
+
 def test_extraspecial_125_dims():
     # p = 5: the one resolution whose eliminations take the blocked panel path
     spec = parse_extension_spec((ROOT / "perfbench" / "specs" / "extraspecial_125.cfg").read_text())
@@ -210,15 +227,42 @@ def test_translates_outside_the_kernel_raise(monkeypatch):
         minimal_resolution(g, 4)
 
 
-def test_minimal_resolution_budget():
+def test_minimal_resolution_budget(monkeypatch):
     g = C3C3.group_table()
     # degree 1: two generators translate the 8-dim kernel of the
-    # augmentation (2 x 8 x 9 = 144 entries), then d_1 is 9 x 18 = 162
+    # augmentation (2 x 8 x 9 = 144 entries), then the images of d_1 are
+    # 9 x 2 = 18; degree 2 gathers the rows of d_1 at the 8 free columns
+    # (8 x 18 = 144) and its images are 18 x 3 = 54
     with pytest.raises(BudgetExceeded, match="kernel of d_0 needs 144 entries"):
         minimal_resolution(g, 2, budget=143)
-    with pytest.raises(BudgetExceeded, match="d_1 of the minimal resolution needs 162"):
-        minimal_resolution(g, 2, budget=161)
-    assert minimal_resolution(g, 1, budget=162).ranks == [1, 2]
+    assert minimal_resolution(g, 1, budget=144).ranks == [1, 2]
+    seen = []
+    real = oracle_module.check_budget
+
+    def record(entries, budget, what):
+        seen.append((what, entries))
+        real(entries, budget, what)
+
+    monkeypatch.setattr(oracle_module, "check_budget", record)
+    res = minimal_resolution(g, 2)
+    assert seen == [("the translates of the kernel of d_0", 144),
+                    ("d_1 of the minimal resolution", 18),
+                    ("the translates of the kernel of d_1", 360),
+                    ("the rows of d_1 at the free columns", 144),
+                    ("d_2 of the minimal resolution", 54)]
+    assert [d.size for d in res.images] == [18, 54]
+
+    # the translates of a degree bound its d_n from above and are checked
+    # first, so the d_n check is exercised alone: one entry under refuses
+    def d_n_only(entries, budget, what):
+        real(entries, budget if what.startswith("d_") else DEFAULT_BUDGET, what)
+
+    monkeypatch.setattr(oracle_module, "check_budget", d_n_only)
+    with pytest.raises(BudgetExceeded, match="d_1 of the minimal resolution needs 18"):
+        minimal_resolution(g, 2, budget=17)
+    with pytest.raises(BudgetExceeded, match="d_2 of the minimal resolution needs 54"):
+        minimal_resolution(g, 2, budget=53)
+    assert minimal_resolution(g, 2, budget=54).ranks == [1, 2, 3]
 
 
 def test_double_complex_budget_before_any_rank_profile(monkeypatch):

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import lhsseq
 
 from lhsseq.cohomology import CohoClass, cup
 from lhsseq.extensions import ExtensionSpec, build_extension_group
@@ -100,22 +105,47 @@ def extraspecial_27():
     ],
 )
 def test_exactness_desk_scale(make):
-    """Every constructor: d^2 = 0, minimal, and exact below the top degree."""
+    """Every constructor: d^2 = 0, minimal, exact below the top degree, and
+    each dense d_n a module map whose identity columns are the stored images."""
     res = make()
     assert res.check_d_squared()
     assert res.is_minimal()
     assert homology_dims(res, res.max_degree - 1) == [0] * res.max_degree
+    group, order = res.group, res.group.order
+    for n in range(1, res.max_degree + 1):
+        d = res.dense(n)
+        assert np.array_equal(d[:, group.identity :: order], res.images[n - 1])
+        for g in range(order):
+            # g d(v) = d(g v), where g moves coordinate (b, h) to (b, g h)
+            src, tgt = ((np.arange(res.rank(m))[:, None] * order + group.mul[g]).ravel()
+                        for m in (n - 1, n))
+            gd = np.empty_like(d)
+            gd[src] = d
+            assert np.array_equal(gd, d[:, tgt])
 
 
 def test_differential_shapes():
     res = abelian_minimal_resolution(AbelianPGroupSpec(2, (1, 1)), 3)
     for n in range(1, 4):
-        assert res.differentials[n - 1].shape == (res.rank(n - 1) * 4, res.rank(n) * 4)
+        assert res.images[n - 1].shape == (res.rank(n - 1) * 4, res.rank(n))
+        assert res.dense(n).shape == (res.rank(n - 1) * 4, res.rank(n) * 4)
 
 
 def test_tensor_resolution_budget():
     a = cyclic_resolution(3, 3, 2)
-    # over C3 x C3, d_1 is 9 x 18 and d_2 is 18 x 27 = 486 entries
-    assert tensor_resolution(a, a, budget=486).ranks == [1, 2, 3]
-    with pytest.raises(BudgetExceeded, match="d_2 of the C3xC3 tensor resolution"):
-        tensor_resolution(a, a, budget=485)
+    # over C3 x C3, the images of d_1 are 9 x 2 and of d_2 18 x 3 = 54 entries
+    assert tensor_resolution(a, a, budget=54).ranks == [1, 2, 3]
+    with pytest.raises(BudgetExceeded, match="d_2 of the C3xC3 tensor resolution needs 54"):
+        tensor_resolution(a, a, budget=53)
+
+
+def test_dense_view_is_read_only_in_resolutions():
+    # the dense d_n exist for the certificate code alone: no package module
+    # but resolutions.py reads Resolution.differentials
+    readers = [
+        path.name for path in sorted(Path(lhsseq.__file__).parent.glob("*.py"))
+        if path.name != "resolutions.py"
+        and any(isinstance(node, ast.Attribute) and node.attr == "differentials"
+                for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert readers == []
