@@ -458,19 +458,17 @@ def subquotient_of(cycles, boundaries, ambient_dim: int, p: int,
     result is the same: quotient_reps is the RREF of Z meet {v : v = 0 on
     the pivot columns of B}, whatever basis of Z is given.
     """
-    cyc = _as_array(cycles, p, cols=ambient_dim) if len(cycles) else np.zeros(
-        (0, ambient_dim), dtype=np.int64
-    )
-    bnd = _as_array(boundaries, p, cols=ambient_dim) if len(boundaries) else np.zeros(
-        (0, ambient_dim), dtype=np.int64
-    )
+    empty = np.zeros((0, ambient_dim), dtype=np.int64)
+    cyc = _as_array(cycles, p, cols=ambient_dim) if len(cycles) else empty
     if free is None:
         cyc_ech, z_pivots = rref(cyc, p)
     else:
         if not np.array_equal(cyc[:, free], np.eye(len(free), dtype=np.int64)):
             raise LinAlgError("cycles are not the identity on the given free columns")
         cyc_ech, z_pivots = cyc, free
-    bnd_ech, b_pivots = rref(bnd, p)
+    # rref's working copy of the boundaries is the only one, eliminated in
+    # place and dropped once its echelon rows are taken
+    bnd_ech, b_pivots = rref(boundaries if len(boundaries) else empty, p)
     # cyc_ech is the identity on the columns z_pivots, so a boundary row
     # lies in the cycle span exactly when it equals its entries there
     # times cyc_ech

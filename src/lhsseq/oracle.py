@@ -44,6 +44,10 @@ term m mapping (i, j) to (i+m+1, j-m).  Its comparison map into T
 preserves the filtration and is an isomorphism on E_1 (both are
 Hom_G(P_i, H^j(C))), hence on every page E_r, r >= 1.  The maps act on
 batches of cochains along their own axes; no widened matrix is built.
+d1 reads d^P as its generator images, coef[alpha, x, alpha'] the
+coefficient of x gen_alpha in d(gen_alpha'): (d1 w)[g, alpha'] = sum over
+x, alpha of coef[alpha, x, alpha'] w[g x, alpha], one gather of the batch
+at the x where coef is nonzero and one product, with no |G|-wide matrix.
 
 Certificate.  Every run checks the five identities and d_H^2 = 0 exactly
 and raises LinAlgError when one fails; `compare` adds E_inf = H*(E).
@@ -85,27 +89,18 @@ __all__ = [
 ]
 
 def _generating_set(group: FiniteGroupTable) -> list[int]:
-    """A small generating set, found greedily."""
+    """A small generating set, found greedily: the least element outside the
+    subgroup the generators so far generate, its words in them."""
     gens: list[int] = []
     closure = {group.identity}
     for a in range(group.order):
         if a in closure:
             continue
         gens.append(a)
-        frontier = set(closure)
-        closure = set(closure)
-        new = {a}
+        new = closure
         while new:
-            nxt = set()
-            for x in new:
-                for y in list(closure) + [x]:
-                    for z in (group.multiply(x, y), group.multiply(y, x)):
-                        if z not in closure and z not in new and z not in nxt:
-                            nxt.add(z)
+            new = {group.multiply(x, g) for x in new for g in gens} - closure
             closure |= new
-            new = nxt
-        if len(closure) == group.order:
-            break
     return gens
 
 
@@ -140,6 +135,8 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
     image = 1  # rank of d_{n-1}: by exactness, the dimension of the kernel before it
     for n in range(1, max_degree + 1):
         n_blocks = ranks[-1]
+        # gens dim K_n n_blocks |G| entries, no fewer than the images of d_n
+        # (n_blocks |G| x new rank, new rank <= dim K_n), left unchecked
         check_budget(len(gens) * (n_blocks * order - image) * n_blocks * order, budget,
                      f"the translates of the kernel of d_{n - 1}")
         # ker d_{n-1} is the kernel of its rows at the free columns of the
@@ -159,7 +156,6 @@ def minimal_resolution(group: FiniteGroupTable, max_degree: int, p: int | None =
             np.subtract(kw[:, _act_matrix(group, g, n_blocks)], kw, out=block)
             np.remainder(block, p, out=block)
         reps = subquotient_of(k, radk, k.shape[1], p, free).quotient_reps
-        check_budget(n_blocks * reps.shape[0] * order, budget, f"d_{n} of the minimal resolution")
         ranks.append(reps.shape[0])
         images.append(np.ascontiguousarray(reps.T))
         image = k.shape[0]
@@ -194,9 +190,6 @@ class DoubleComplexDims:
     tables: dict[int, dict[tuple[int, int], int]]
     group_order: int
     cohomology_dims: list[int]
-
-    def dim(self, r: int, i: int, j: int) -> int:
-        return self.tables.get(r, {}).get((i, j), 0)
 
     def total_dims(self, r: int, through: int) -> list[int]:
         out = [0] * (through + 1)
@@ -238,20 +231,15 @@ class _HomDoubleComplex:
 
     # cochain index at (i, j): (g * a_i + alpha) * b_j + beta
 
-    def p_adjoint(self, i: int) -> np.ndarray:
-        """The adjoint of d^P: P_{i+1} -> P_i on the (g, alpha) axes,
-        (|G| a_{i+1}) x (|G| a_i)."""
-        ai, ai1, ng = self.a(i), self.a(i + 1), self.ng
-        # P coordinate (alpha, h) of d(g gen_alpha') becomes entry
-        # ((g, alpha'), (h, alpha)) of the adjoint
-        d = self.P.dense(i + 1).reshape(ai, ng, ai1, ng)
-        return d.transpose(3, 2, 1, 0).reshape(ng * ai1, ng * ai)
-
     def d1_block(self, i: int, j: int) -> np.ndarray:
-        """(i, j) -> (i+1, j), adjoint of the P differential."""
+        """(i, j) -> (i+1, j), the dense adjoint of d^P (x) 1, from ``P.dense``:
+        entry ((g, alpha', beta), (h, alpha, beta)) is that of h gen_alpha in
+        d(g gen_alpha').  Only the dense reference of the tests uses it."""
         if self.dim(i + 1, j) == 0:
             return np.zeros((self.dim(i + 1, j), self.dim(i, j)), dtype=np.int64)
-        return np.kron(self.p_adjoint(i), np.eye(self.b(j), dtype=np.int64))
+        d = self.P.dense(i + 1).reshape(self.a(i), self.ng, self.a(i + 1), self.ng)
+        m = np.einsum("ahcg,bd->gcbhad", d, np.eye(self.b(j), dtype=np.int64))
+        return m.reshape(self.dim(i + 1, j), self.dim(i, j))
 
     def d0_block(self, i: int, j: int) -> np.ndarray:
         """(i, j) -> (i, j+1), adjoint of (-1)^i times the Q differential: entry
@@ -345,8 +333,26 @@ def _along_base(m: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
     return mul_mod(m, w.transpose(0, 3, 1, 2).reshape(ng * b, a * size), p)
 
 
-def _perturbation_terms(cx: _HomDoubleComplex, con: _Contraction, adjoints: list,
-                        i: int, j: int, budget: int):
+def _along_p(cx: _HomDoubleComplex, c: int, w: np.ndarray, budget: int) -> np.ndarray:
+    """d1 out of column c - 1 on a batch w (|G|, a_{c-1}, batch, b), from the
+    generator images of d^P_c (module docstring): (|G|, a_c, batch, b)."""
+    p, ng, a, ac = cx.p, cx.ng, cx.a(c - 1), cx.a(c)
+    size, b = w.shape[2:]
+    coef = cx.P.images[c - 1].reshape(a, ng, ac)
+    xs = np.flatnonzero(coef.any(axis=(0, 2)))
+    k = a * xs.size
+    check_budget(xs.size * w.size, budget, f"the gathered batch of d^P_{c}")
+    # both factors in the product's float type: gathered[(alpha, x), (g,
+    # batch, beta)] = w[g x, alpha, batch, beta]
+    dtype = product_dtype(k, p)
+    gathered = np.take(w.astype(dtype).transpose(1, 0, 2, 3), cx.G.mul[:, xs].T, axis=1)
+    stacked = coef[:, xs].transpose(2, 0, 1).reshape(ac, k).astype(dtype)
+    out = mul_mod(stacked, gathered.reshape(k, ng * size * b), p)
+    return out.reshape(ac, ng, size, b).transpose(1, 0, 2, 3)
+
+
+def _perturbation_terms(cx: _HomDoubleComplex, con: _Contraction, i: int, j: int,
+                        budget: int):
     """Yield ((i', j'), block): term m of d_H out of (i, j), a block into
     (i' = i+m+1, j' = j-m).  Small bases are indexed alpha * c_j + eta.
 
@@ -367,8 +373,7 @@ def _perturbation_terms(cx: _HomDoubleComplex, con: _Contraction, adjoints: list
         c, jj = i + m + 1, j - m
         ac, bjj = cx.a(c), cx.b(jj)
         check_budget(ng * ac * size * bjj, budget, f"the cochain batch at ({c}, {jj})")
-        w = mul_mod(adjoints[c - 1], w.reshape(ng * w.shape[1], size * bjj), p)
-        w = w.reshape(ng, ac, size, bjj)
+        w = _along_p(cx, c, w, budget)
         nh_t = con.pi[jj].shape[0]
         term = _along_base(con.pi[jj], w, p).reshape(nh_t, ac, size)
         yield (c, jj), (sign * term.transpose(1, 0, 2).reshape(ac * nh_t, size)) % p
@@ -390,15 +395,7 @@ def _small_complex(cx: _HomDoubleComplex, deg: int, budget: int):
     that block of T^{deg+1} is left out (size 0), and Q is needed only
     through degree deg + 1, as for the double complex itself.
     """
-    p = cx.p
     con = _base_contraction(cx, deg, budget)
-    adjoints = []
-    for i in range(deg + 1):
-        check_budget(cx.dim(i + 1, 0) * cx.dim(i, 0), budget, f"the adjoint of d^P_{i + 1}")
-        # residues in the float type mul_mod multiplies them in (their
-        # columns are its inner dimension), converted once
-        adj = cx.p_adjoint(i)
-        adjoints.append((adj % p).astype(product_dtype(adj.shape[1], p)))
     dims = {(i, j): cx.a(i) * con.iota[j].shape[1]
             for i in range(deg + 2) for j in range(min(deg, deg + 1 - i) + 1)}
     offsets = [np.cumsum([0] + [dims.get((i, n - i), 0) for i in range(n + 1)])
@@ -412,11 +409,11 @@ def _small_complex(cx: _HomDoubleComplex, deg: int, budget: int):
             if not dims[(i, n - i)]:
                 continue
             cols = slice(offsets[n][i], offsets[n][i + 1])
-            for (c, _), block in _perturbation_terms(cx, con, adjoints, i, n - i, budget):
+            for (c, _), block in _perturbation_terms(cx, con, i, n - i, budget):
                 dn[offsets[n + 1][c] : offsets[n + 1][c + 1], cols] = block
         total[n] = dn
     for n in range(deg):
-        _require(not mul_mod(total[n + 1], total[n], p).any(),
+        _require(not mul_mod(total[n + 1], total[n], cx.p).any(),
                  f"d_H^2 = 0 out of total degree {n}")
     return dims, total
 

@@ -21,6 +21,7 @@ from lhsseq.oracle import (
     minimal_resolution,
 )
 from lhsseq.parsing import parse_extension_spec
+from lhsseq.resolutions import Resolution
 
 C3C3 = AbelianPGroupSpec(3, (1, 1))
 ROOT = Path(__file__).resolve().parents[1]
@@ -230,9 +231,10 @@ def test_translates_outside_the_kernel_raise(monkeypatch):
 def test_minimal_resolution_budget(monkeypatch):
     g = C3C3.group_table()
     # degree 1: two generators translate the 8-dim kernel of the
-    # augmentation (2 x 8 x 9 = 144 entries), then the images of d_1 are
-    # 9 x 2 = 18; degree 2 gathers the rows of d_1 at the 8 free columns
-    # (8 x 18 = 144) and its images are 18 x 3 = 54
+    # augmentation (2 x 8 x 9 = 144 entries); degree 2 translates the
+    # 10-dim kernel of d_1 (2 x 10 x 18 = 360) and gathers the rows of d_1
+    # at the 8 free columns (8 x 18 = 144).  The images of d_1 (9 x 2 = 18)
+    # and d_2 (18 x 3 = 54) are bounded by the translates of their degree.
     with pytest.raises(BudgetExceeded, match="kernel of d_0 needs 144 entries"):
         minimal_resolution(g, 2, budget=143)
     assert minimal_resolution(g, 1, budget=144).ranks == [1, 2]
@@ -246,23 +248,9 @@ def test_minimal_resolution_budget(monkeypatch):
     monkeypatch.setattr(oracle_module, "check_budget", record)
     res = minimal_resolution(g, 2)
     assert seen == [("the translates of the kernel of d_0", 144),
-                    ("d_1 of the minimal resolution", 18),
                     ("the translates of the kernel of d_1", 360),
-                    ("the rows of d_1 at the free columns", 144),
-                    ("d_2 of the minimal resolution", 54)]
+                    ("the rows of d_1 at the free columns", 144)]
     assert [d.size for d in res.images] == [18, 54]
-
-    # the translates of a degree bound its d_n from above and are checked
-    # first, so the d_n check is exercised alone: one entry under refuses
-    def d_n_only(entries, budget, what):
-        real(entries, budget if what.startswith("d_") else DEFAULT_BUDGET, what)
-
-    monkeypatch.setattr(oracle_module, "check_budget", d_n_only)
-    with pytest.raises(BudgetExceeded, match="d_1 of the minimal resolution needs 18"):
-        minimal_resolution(g, 2, budget=17)
-    with pytest.raises(BudgetExceeded, match="d_2 of the minimal resolution needs 54"):
-        minimal_resolution(g, 2, budget=53)
-    assert minimal_resolution(g, 2, budget=54).ranks == [1, 2, 3]
 
 
 def test_double_complex_budget_before_any_rank_profile(monkeypatch):
@@ -292,12 +280,39 @@ def test_contraction_arrays_are_budgeted(monkeypatch):
     monkeypatch.setattr(oracle_module, "check_budget", record)
     oracle_module._small_complex(cx, 5, DEFAULT_BUDGET)
     largest, what = max(seen)
-    assert {w.split(" ")[1] for _, w in seen} >= {"base", "coordinate", "adjoint",
+    assert {w.split(" ")[1] for _, w in seen} >= {"base", "coordinate", "gathered",
                                                   "cochain", "total"}
     monkeypatch.setattr(oracle_module, "check_budget", real)
     with pytest.raises(BudgetExceeded, match=re.escape(f"{what} needs {largest:,} entries")):
         oracle_module._small_complex(cx, 5, largest - 1)
     oracle_module._small_complex(cx, 5, largest)
+
+
+def test_pages_never_build_a_dense_differential(monkeypatch):
+    # d1 acts through the generator images of d^P, so the pages need no
+    # |G|-wide matrix of any resolution
+    def no_dense(self, n):
+        raise AssertionError(f"dense d_{n} of a {self.kind} resolution built")
+
+    spec = parse_extension_spec((ROOT / "configs" / "extraspecial_27.cfg").read_text())
+    want = double_complex_ss(spec, 6).tables
+    monkeypatch.setattr(Resolution, "dense", no_dense)
+    got = double_complex_ss(spec, 6)
+    assert got.tables == want
+    assert got.cohomology_dims == [1, 2, 4, 6, 7, 8, 9]  # the paper's series (f)
+
+
+def test_small_complex_memory():
+    # rank-3 to degree 7: the gathered batches of d1 stay small (11.6 MB
+    # traced), where the dense adjoints of d^P took 33.7 MB
+    cx = _HomDoubleComplex(parse_extension_spec(RANK3), 8, DEFAULT_BUDGET)
+    tracemalloc.start()
+    try:
+        oracle_module._small_complex(cx, 7, DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # -- the small oracle against the dense total differential ------------------
@@ -327,6 +342,8 @@ def dense_pages(spec: ExtensionSpec, deg: int, r_max: int = 7) -> dict:
 
 CONFIG_SPECS = sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")
                       if not p.stem.endswith("_overrides"))
+P2_SPECS = {"p2_y1y2": '{p: 2, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}',
+            "p2_x1_y2y3": '{p: 2, kernel_m: 1, quotient: [1, 1, 1], xi: "x1 + y2*y3"}'}
 SMALL_ORACLE_CASES = (
     [pytest.param((ROOT / "configs" / f"{name}.cfg").read_text(), 6, id=name,
                   marks=[pytest.mark.slow] if name == "case_e_9x3" else [])
@@ -334,9 +351,8 @@ SMALL_ORACLE_CASES = (
     + [pytest.param(RANK3, 5, id="rank3_order81", marks=pytest.mark.slow),
        pytest.param((ROOT / "perfbench" / "specs" / "extraspecial_125.cfg").read_text(), 3,
                     id="extraspecial_125"),
-       pytest.param('{p: 2, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}', 6, id="p2_y1y2"),
-       pytest.param('{p: 2, kernel_m: 1, quotient: [1, 1, 1], xi: "x1 + y2*y3"}', 6,
-                    id="p2_x1_y2y3")]
+       pytest.param(P2_SPECS["p2_y1y2"], 6, id="p2_y1y2"),
+       pytest.param(P2_SPECS["p2_x1_y2y3"], 6, id="p2_x1_y2y3")]
 )
 
 
@@ -381,16 +397,28 @@ def widen(m: np.ndarray, cx: _HomDoubleComplex, i: int, rows_b: int, cols_b: int
 
 def test_column_blocks_are_the_base_maps():
     # what the contraction relies on: d0 at column i is (-1)^i K_j along the
-    # (g, beta) axes and d1 is the adjoint of d^P along the (g, alpha) axes
-    cx = _HomDoubleComplex(ext_spec(y1y2()), 4, DEFAULT_BUDGET)
-    p = cx.p
-    for i in range(3):
-        for j in range(3):
-            b, b1 = cx.b(j), cx.b(j + 1)
-            want = widen(cx.d0_block(0, j), cx, i, b1, b)
-            assert (cx.d0_block(i, j) % p == ((-1) ** i * want) % p).all(), (i, j)
-            want1 = np.einsum("xy,bc->xbyc", cx.p_adjoint(i), np.eye(b, dtype=np.int64))
-            assert (cx.d1_block(i, j) == want1.reshape(cx.dim(i + 1, j), cx.dim(i, j))).all()
+    # (g, beta) axes, and d1, which acts on a batch of cochains through the
+    # generator images of d^P, is the dense adjoint of d^P along the
+    # (g, alpha) axes; on every config spec and every p = 2 spec
+    rng = np.random.default_rng(0)
+    texts = [(ROOT / "configs" / f"{name}.cfg").read_text() for name in CONFIG_SPECS]
+    for text in texts + list(P2_SPECS.values()):
+        cx = _HomDoubleComplex(parse_extension_spec(text), 4, DEFAULT_BUDGET)
+        p, ng, size = cx.p, cx.ng, 3
+        for i in range(3):
+            for j in range(3):
+                b, b1 = cx.b(j), cx.b(j + 1)
+                want = widen(cx.d0_block(0, j), cx, i, b1, b)
+                assert (cx.d0_block(i, j) % p == ((-1) ** i * want) % p).all(), (text, i, j)
+                # a batch (g, alpha, batch, beta); a cochain's index is
+                # (g a_i + alpha) b_j + beta
+                w = rng.integers(0, p, size=(ng, cx.a(i), size, b))
+                got = oracle_module._along_p(cx, i + 1, w, DEFAULT_BUDGET)
+                assert got.shape == (ng, cx.a(i + 1), size, b)
+                flat = w.transpose(0, 1, 3, 2).reshape(cx.dim(i, j), size)
+                want1 = (cx.d1_block(i, j) @ flat) % p
+                got = got.transpose(0, 1, 3, 2).reshape(cx.dim(i + 1, j), size)
+                assert (got == want1).all(), (text, i, j)
 
 
 def test_perturbed_differential_squares_to_zero():
