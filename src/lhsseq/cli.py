@@ -33,7 +33,7 @@ from .groups import AbelianPGroupSpec, GroupError
 from .oracle import cohomology_dims, double_complex_ss, euler_telescope
 from .parsing import ParseError, parse_class, parse_extension_spec, parse_overrides
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _emit(report: dict, args) -> None:
@@ -120,11 +120,12 @@ def cmd_sseq(args) -> int:
     return 0
 
 
-def _print_bigraded(page, max_degree: int | None = None):
-    top = page.valid_through if max_degree is None else max_degree
+def _print_bigraded(page):
+    top = page.valid_through
     print(f"E_{page.r} page dimensions (rows j, columns i, total degree <= {top}):")
-    max_j = max((j for (i, j) in page.cells if page.dim(i, j)), default=0)
-    for j in range(min(top, max_j), -1, -1):
+    max_j = max((j for j in range(top + 1) if any(page.dim(i, j) for i in range(top - j + 1))),
+                default=0)
+    for j in range(max_j, -1, -1):
         row = [str(page.dim(i, j)) for i in range(top - j + 1)]
         print(f"  j={j:<2} " + " ".join(f"{v:>3}" for v in row))
 

@@ -17,7 +17,9 @@ the cached multiplication and Massey maps:
     d4(t^k u chi) = k t^{k-1} <xi', chi, xi>     (Massey triple product)
     d4(t^k chi)   = k(k-1) t^{k-2} u xi' chi'    with xi chi' = xi' chi
 
-d4 on an even row solves xi chi' = xi' chi for the whole block at once.
+E_2's classes are the unit vectors, so d_2's page matrix is the cached
+multiplication by xi itself.  d4 on an even row solves xi chi' = xi' chi
+for the whole block at once.
 The multiplication maps are summed from RingContext's monomial product
 tables, and the Massey map is one composition, sum_k C(p^{m_k}, 3)
 (w_k times) o d_k with w_k = x_k d_k(xi) d_k(xi') a fixed degree-five
@@ -27,17 +29,21 @@ overrides, which are extended over the page by the Leibniz rule (their
 products with surviving base-row classes), again one solve per bidegree,
 in page coordinates.  Both kinds reach turn_page as page matrices.
 
-Rows the formulas cannot tell apart share their work.  The formulas read
-row j = 2k + eps only through eps (d_2) or k mod p and eps (d_3, d_4),
-so within one call differential_matrix builds one page matrix per (i,
-eps, source cell object, target cell object), and for r > 2 per k mod p
-as well, and turn_page one new cell per (old
-cell object, outgoing matrix, incoming matrix), the matrices compared by
-content.  Every E_2 row is the same cell, so away from the truncation
-edge the cells of rows j and j + 2p stay one object on every page.  A
-run with an rng shares no d_r: each bidegree draws its own d_4 choices,
-so the random stream is the one an unshared run consumes.  Shared cells,
-steps and page matrices are read-only.
+A page is stored as its row block.  The lemma (kernel C_p): for
+r <= 2p + 1, E_r = N_r (x) F_p[t^p], N_r the rows 0..2p-1.  For r <= 2p,
+t^p is a d_r-cycle (Kudo's transgression theorem, Mem. Fac. Sci. Kyusyu
+Univ. A 9, 1956), so d_r, a derivation, is t^p-linear; zero out of rows
+j < r - 1, it maps N_r into itself, and E_{r+1} = H(N_r, d_r) (x)
+F_p[t^p].  The formulas above are t^p-linear as they stand: they read
+row j = 2k + eps only through eps and k mod p.  So a Page holds the
+cells (i, j) with j < 2p and i + j <= N, row j reads block row j mod 2p,
+and an override, given on the block, acts on every t^{pk} multiple of
+its source.  Refused: an override on a page r > 2p (any at p = 2), one
+whose source lies in a row >= 2p (give it divided by t^{pk}), and any
+with kernel_m > 1, where the lemma is not shown; so at p = 2 the pages
+past E_5 equal E_5.  Cells of total degree N never get their outgoing
+d_r, so pages are exact through N - 1 only.  Cells, steps and page
+matrices are read-only.
 """
 
 from __future__ import annotations
@@ -153,29 +159,33 @@ class Cell:
 
 @dataclass
 class Page:
-    """One page of the spectral sequence, truncated at total degree N."""
+    """One page of the spectral sequence, truncated at total degree N, as
+    its row block: the cells (i, j) with j < period = 2p and i + j <= N."""
 
     r: int
     N: int
+    period: int
     cells: dict[tuple[int, int], Cell]
     valid_through: int
 
+    def cell(self, i: int, j: int) -> Cell | None:
+        """The cell at (i, j), block row j mod period; None off the page."""
+        if i < 0 or j < 0 or i + j > self.N:
+            return None
+        return self.cells.get((i, j % self.period))
+
     def dim(self, i: int, j: int) -> int:
-        cell = self.cells.get((i, j))
+        cell = self.cell(i, j)
         return cell.dim if cell else 0
 
     def dims_table(self) -> dict[tuple[int, int], int]:
-        return {
-            (i, j): cell.dim for (i, j), cell in sorted(self.cells.items()) if cell.dim
-        }
+        """Nonzero dimensions through total degree N - 1, the last exact one."""
+        return {(i, j): d for i in range(self.N) for j in range(self.N - i)
+                if (d := self.dim(i, j))}
 
     def total_dims(self, through: int | None = None) -> list[int]:
         through = self.valid_through if through is None else through
-        out = [0] * (through + 1)
-        for (i, j), cell in self.cells.items():
-            if i + j <= through:
-                out[i + j] += cell.dim
-        return out
+        return [sum(self.dim(i, n - i) for i in range(n + 1)) for n in range(through + 1)]
 
 
 @dataclass
@@ -244,39 +254,26 @@ class EngineContext:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: cells, steps and page matrices are shared by
-    the rows whose inputs are equal, so an in-place write must raise."""
+    """a, made read-only: it may be shared (an E_2 cell by its column's rows,
+    a cell by the pages it passes unchanged, d_2's page matrix by the
+    multiplication cache), so an in-place write must raise."""
     a.flags.writeable = False
     return a
 
 
-def _shared(table: dict, ids: tuple, arrays: tuple, build):
-    """build(), or the value it gave earlier in this table for the same
-    ids and equal arrays (None matches None).  A key holds the ids and a
-    hash of each array's bytes, never a copy; np.array_equal confirms a
-    hit (the key puts None in the same places)."""
-    key = ids + tuple(None if a is None else hash(a.tobytes()) for a in arrays)
-    entries = table.setdefault(key, [])
-    for held, value in entries:
-        if all(a is b or np.array_equal(a, b) for a, b in zip(held, arrays)):
-            return value
-    value = build()
-    entries.append((arrays, value))
-    return value
-
-
 def _init_page(ctx: EngineContext) -> Page:
-    """The starting page: every cell is its whole coordinate space, its
+    """The starting block: every cell is its whole coordinate space, its
     classes the unit vectors."""
+    period = 2 * ctx.p
     cells = {}
     for i in range(ctx.N + 1):
         dim = ctx.ring.dim(i)
         if dim == 0:
             continue
         e2 = Cell(np.eye(dim, dtype=np.int64))
-        for j in range(ctx.N + 1 - i):
+        for j in range(min(period, ctx.N + 1 - i)):
             cells[(i, j)] = e2
-    return Page(r=2, N=ctx.N, cells=cells, valid_through=ctx.N - ctx.r_max)
+    return Page(r=2, N=ctx.N, period=period, cells=cells, valid_through=ctx.N - ctx.r_max)
 
 
 def _row_sign(j: int, deg: int) -> int:
@@ -285,15 +282,11 @@ def _row_sign(j: int, deg: int) -> int:
 
 
 def _formula_value(ctx: EngineContext, r: int, i: int, j: int, reps: np.ndarray):
-    """Images under d_r of a block of representatives (rows, V_{i,j}
-    coordinates, residues), as rows in V_{i+r, j-r+1} coordinates, or None
-    when the formula gives zero."""
+    """Images under d_r, r = 3 or 4, of a block of representatives (rows,
+    V_{i,j} coordinates, residues), as rows in V_{i+r, j-r+1} coordinates,
+    or None when the formula gives zero."""
     p = ctx.p
     k, eps = divmod(j, 2)
-    if r == 2:
-        if eps == 0:
-            return None
-        return mul_mod(reps, ctx.mult_matrix(ctx.xi, i, 2).T, p)
     if r == 3:
         coeff = (-k if eps else k) % p
         if coeff == 0:
@@ -356,68 +349,55 @@ def _page_block(r: int, ij: tuple[int, int], cell: Cell, rows: np.ndarray,
 
 
 def differential_matrix(ctx: EngineContext, page: Page, r: int):
-    """Per-bidegree d_r: {(i, j): page matrix}, mapping source page
-    coordinates to target page coordinates.
-
-    The formulas read row j = 2k + eps only through eps (d_2) or k mod p
-    and eps (d_3, d_4), so without an rng one read-only matrix serves every
-    bidegree with the same (i, eps, source cell, target cell), and for
-    r > 2 the same k mod p.  With an rng each bidegree draws its own d_4
-    choices, in the order it always has."""
+    """Per-bidegree d_r on the block: {(i, j): page matrix}, mapping source
+    page coordinates to target page coordinates."""
     if r != page.r:
         raise EngineError(f"page is at r={page.r}, asked for d_{r}")
-    out, built = {}, {}
+    out = {}
     for (i, j), cell in page.cells.items():
         tgt = page.cells.get((i + r, j - r + 1))
         if cell.dim == 0 or tgt is None:
             # missing target: either a negative row (formulas vanish there)
             # or beyond the truncation, where valid_through already rules
             continue
-        k, eps = divmod(j, 2)
-        # d_2 reads only eps; d_3 and d_4 read k mod p as well
-        key = (i, eps if r == 2 else (k % ctx.p, eps), id(cell), id(tgt))
-        if ctx.rng is not None or key not in built:
+        if r == 2:  # on E_2's unit vectors, multiplication by xi itself
+            m = ctx.mult_matrix(ctx.xi, i, 2) if j % 2 else None
+        else:
             images = _formula_value(ctx, r, i, j, cell.reps)
-            built[key] = _frozen(np.zeros((tgt.dim, cell.dim), dtype=np.int64) if images is None
-                                 else _page_block(r, (i, j), tgt, images))
-        out[(i, j)] = built[key]
+            m = None if images is None else _page_block(r, (i, j), tgt, images)
+        # a zero page matrix is a read-only broadcast, holding no storage
+        out[(i, j)] = np.broadcast_to(np.int64(0), (tgt.dim, cell.dim)) if m is None else _frozen(m)
     return out
 
 
 def check_d_squared(diffs: dict, r: int, p: int) -> None:
-    """d_r^2 = 0, one product per distinct pair of page matrices."""
-    products = {}
+    """d_r^2 = 0 at every bidegree."""
     for (i, j), m1 in diffs.items():
         m2 = diffs.get((i + r, j - r + 1))
-        if m2 is None or not m1.size or not m2.size:
-            continue
-        if _shared(products, (), (m2, m1), lambda: mul_mod(m2, m1, p).any()):
+        if m2 is not None and m1.any() and m2.any() and mul_mod(m2, m1, p).any():
             raise EngineError(f"d_{r}^2 != 0 at bidegree {(i, j)}")
 
 
 def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
-    """E_{r+1} = H(E_r, d_r), cell by cell, in page-r coordinates.
+    """E_{r+1} = H(E_r, d_r), cell by cell of the block, in page-r
+    coordinates.
 
     A changed cell takes one step, the subquotient of F_p^dim with cycles
     the kernel of the outgoing page matrix and boundaries the columns of
     the incoming one; its quotient representatives times the old ones are
     the new ones.  A cell whose page matrices are both zero (or missing) is
-    carried over unchanged.  Bidegrees with the same old cell object and
-    equal outgoing and incoming matrices (by content; zero and missing
-    alike) get one new cell object, so rows that the formulas cannot tell
-    apart share their cells from page to page."""
+    carried over unchanged.  A block cell in row j is hit from row
+    j + r - 1; when that is 2p or more, the source is t^p times a class of
+    a row below r - 1, where d_r is zero, so no matrix comes in."""
     r = page.r
-    p = ctx.p
-    check_d_squared(diffs, r, p)
-    new_cells, turned = {}, {}
+    check_d_squared(diffs, r, ctx.p)
+    new_cells = {}
     for (i, j), cell in page.cells.items():
         out, inc = (_nonzero(diffs.get(ij)) for ij in ((i, j), (i - r, j + r - 1)))
-        if out is None and inc is None:
-            new_cells[(i, j)] = cell
-            continue
-        new_cells[(i, j)] = _shared(turned, (id(cell),), (out, inc),
-                                    lambda: _turn_cell(cell, out, inc, p))
-    return Page(r=r + 1, N=page.N, cells=new_cells, valid_through=page.valid_through)
+        new_cells[(i, j)] = (cell if out is None and inc is None
+                             else _turn_cell(cell, out, inc, ctx.p))
+    return Page(r=r + 1, N=page.N, period=page.period, cells=new_cells,
+                valid_through=page.valid_through)
 
 
 def _nonzero(d: np.ndarray | None) -> np.ndarray | None:
@@ -435,7 +415,9 @@ def _turn_cell(cell: Cell, out: np.ndarray | None, inc: np.ndarray | None, p: in
     step = subquotient_of(cycles, boundaries, cell.dim, p, free)
     _frozen(step.boundary_basis)
     _frozen(step.quotient_reps)
-    return Cell(mul_mod(step.quotient_reps, cell.reps, p), cell.steps + (step,))
+    # an E_2 cell's representatives are the identity
+    reps = mul_mod(step.quotient_reps, cell.reps, p) if cell.steps else step.quotient_reps
+    return Cell(reps, cell.steps + (step,))
 
 
 def apply_overrides(ctx: EngineContext, page: Page, overrides: list[DifferentialOverride]):
@@ -444,7 +426,8 @@ def apply_overrides(ctx: EngineContext, page: Page, overrides: list[Differential
     Each override contributes the classes of source * rho, rho a basis
     class of the base row H^a(G), each a page-r cycle; a page basis class
     in their span maps to the matching combination of the classes of
-    value * rho, and one outside it to zero.
+    value * rho, and one outside it to zero.  On the block this is also
+    d_r(t^{pk} source * rho) = t^{pk} value * rho.
     """
     r = page.r
     active = [ov for ov in overrides if ov.r == r]
@@ -479,11 +462,27 @@ def apply_overrides(ctx: EngineContext, page: Page, overrides: list[Differential
     return out
 
 
+def _check_overrides(ctx: EngineContext, overrides: list[DifferentialOverride]):
+    """Refuse the overrides the row block cannot carry (module docstring)."""
+    p, period = ctx.p, 2 * ctx.p
+    if overrides and ctx.spec.kernel_m > 1:
+        raise EngineError(f"overrides need kernel_m = 1, got {ctx.spec.kernel_m}: the row "
+                          "block is shown for a kernel C_p only")
+    for ov in overrides:
+        i_s, j_s = ov.source.single_bidegree()
+        if i_s + j_s > ctx.N:
+            raise EngineError(f"override source {(i_s, j_s)} is outside the computed range")
+        if ov.r > period:
+            raise EngineError(f"d_{ov.r} override at p = {p}: past page 2p = {period}, t^{p} "
+                              f"need not survive, so the override cannot act on its multiples")
+        if j_s >= period:
+            raise EngineError(f"override source {ov.source} lies in row {j_s} >= 2p = {period}: "
+                              f"give the override divided by t^{p * (j_s // period)}")
+
+
 def _check_source_survives(ctx, page: Page, ov: DifferentialOverride):
     i_s, j_s = ov.source.single_bidegree()
-    cell = page.cells.get((i_s, j_s))
-    if cell is None:
-        raise EngineError(f"override source {(i_s, j_s)} is outside the computed range")
+    cell = page.cells[(i_s, j_s)]
     vec = ctx.ring.to_vector(ov.source.rows[j_s], i_s)
     try:
         coords = cell.reduce(vec)
@@ -513,6 +512,7 @@ def run(
     """Compute pages 2..r_max and the Poincare data of the last page."""
     overrides = overrides or []
     ctx = EngineContext(spec, N, r_max, rng=rng)
+    _check_overrides(ctx, overrides)
     page = _init_page(ctx)
     pages = {2: page}
     while page.r < r_max:
@@ -537,20 +537,15 @@ def run(
 def possible_higher_differentials(page: Page, r_max: int) -> list[tuple[int, tuple, tuple]]:
     """Bidegree pairs that could still support a nonzero d_r for r > r_max.
 
-    Purely an inspection of nonzero bidegrees within the trusted range;
-    the engine cannot rule these out by itself.
+    Purely an inspection of nonzero bidegrees within the trusted range
+    (source and target through valid_through); the engine cannot rule
+    these out by itself.
     """
-    out = []
-    max_j = max((j for (_, j), c in page.cells.items() if c.dim), default=0)
-    for r in range(r_max + 1, max_j + 2):
-        for (i, j), cell in page.cells.items():
-            if not cell.dim or j < r - 1:
-                continue
-            if i + j + 1 > page.valid_through:
-                continue
-            if page.dim(i + r, j - r + 1):
-                out.append((r, (i, j), (i + r, j - r + 1)))
-    return out
+    top = page.valid_through
+    return [(r, (i, j), (i + r, j - r + 1))
+            for r in range(r_max + 1, top + 1)
+            for i in range(top) for j in range(r - 1, top - i)
+            if page.dim(i, j) and page.dim(i + r, j - r + 1)]
 
 
 def expand_rational(numerator, denominator, N: int) -> list[int]:

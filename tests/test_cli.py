@@ -30,7 +30,7 @@ def test_sseq_split_case(tmp_path, capsys):
     report = json.loads(out.read_text())
     # 1/(1-s)^3 coefficients
     assert report["poincare"]["coefficients"][:5] == [1, 3, 6, 10, 15]
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
 
 
 def test_sseq_case_f_with_overrides(tmp_path):
@@ -111,6 +111,54 @@ def test_compare_subcommand_matches(tmp_path):
     report = json.loads(out.read_text())
     assert all(v == "match" for v in report["verdicts"].values())
     assert "page_mismatches" not in report
+
+
+def test_compare_extraspecial_27_with_overrides_matches_to_degree_16(tmp_path):
+    # the overrides act on every t^3 multiple of their sources; acting in
+    # their own row only, the pages first differed at page 6, (2, 11)
+    out = tmp_path / "cmp.json"
+    rc = main(["compare", "--spec", str(CONFIGS / "extraspecial_27.cfg"),
+               "--overrides", str(CONFIGS / "extraspecial_27_overrides.cfg"),
+               "--max-degree", "16", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and len(report["verdicts"]) == 4
+    assert set(report["verdicts"].values()) == {"match"}
+
+
+def test_compare_rank3_with_its_overrides_matches_to_degree_11(tmp_path):
+    # the provenance line of configs/rank3_order81_overrides.cfg
+    out = tmp_path / "cmp.json"
+    spec = CONFIGS.parent / "perfbench" / "specs" / "rank3_order81.cfg"
+    rc = main(["compare", "--spec", str(spec),
+               "--overrides", str(CONFIGS / "rank3_order81_overrides.cfg"),
+               "--max-degree", "11", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and set(report["verdicts"].values()) == {"match"}
+
+
+P3 = '{p: 3, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}'
+
+
+@pytest.mark.parametrize("command, spec_text, line, message", [
+    ("sseq", P3, "d7 | t^3*y1 | x1^3*x2", "d_7 override at p = 3: past page 2p = 6"),
+    ("sseq", '{p: 2, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}', "d5 | u^5 | u*x1^2*y1",
+     "d_5 override at p = 2: past page 2p = 4"),
+    ("sseq", P3, "d5 | t^5*x1*y2 - t^5*x2*y1 | t^3*x1^3*x2 - t^3*x2^3*x1",
+     "override source (x1*y2 - x2*y1)*t^5 lies in row 10 >= 2p = 6: give the override "
+     "divided by t^3"),
+    ("compare", '{p: 3, kernel_m: 2, quotient: [1, 1], xi: "y1*y2", xi_prime: "x1*y2 - x2*y1"}',
+     "d5 | t^2*x1*y2 - t^2*x2*y1 | x1^3*x2 - x2^3*x1", "overrides need kernel_m = 1, got 2"),
+], ids=["page_past_2p", "p_2", "source_above_the_block", "kernel_m_2"])
+def test_overrides_the_row_block_cannot_carry_error(command, spec_text, line, message, tmp_path,
+                                                     capsys):
+    spec, overrides = tmp_path / "spec.cfg", tmp_path / "overrides.cfg"
+    spec.write_text(spec_text)
+    overrides.write_text(line + "\n")
+    rc = main([command, "--spec", str(spec), "--overrides", str(overrides),
+               "--max-degree", "16", "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and not (tmp_path / "report.json").exists()
+    assert err.startswith(f"error: {message}") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.slow
