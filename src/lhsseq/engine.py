@@ -38,12 +38,12 @@ F_p[t^p].  The formulas above are t^p-linear as they stand: they read
 row j = 2k + eps only through eps and k mod p.  So a Page holds the
 cells (i, j) with j < 2p and i + j <= N, row j reads block row j mod 2p,
 and an override, given on the block, acts on every t^{pk} multiple of
-its source.  Refused: an override on a page r > 2p (any at p = 2), one
-whose source lies in a row >= 2p (give it divided by t^{pk}), and any
-with kernel_m > 1, where the lemma is not shown; so at p = 2 the pages
-past E_5 equal E_5.  Cells of total degree N never get their outgoing
-d_r, so pages are exact through N - 1 only.  Cells, steps and page
-matrices are read-only.
+its source.  E_3 even has period 2 (t is a d_2-cycle), so turning E_2
+copies rows 0 and 1 up the block.  Refused: an override on a page
+r > 2p (any at p = 2), one whose source lies in a row >= 2p (give it
+divided by t^{pk}), and any with kernel_m > 1, where the lemma is not
+shown; so at p = 2 the pages past E_5 equal E_5.  Cells of total degree
+N never get their outgoing d_r, so pages are exact through N - 1 only.
 """
 
 from __future__ import annotations
@@ -254,9 +254,8 @@ class EngineContext:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: it may be shared (an E_2 cell by its column's rows,
-    a cell by the pages it passes unchanged, d_2's page matrix by the
-    multiplication cache), so an in-place write must raise."""
+    """a, made read-only: cells, steps and page matrices are shared (by
+    rows, pages or the multiplication cache), so a write must raise."""
     a.flags.writeable = False
     return a
 
@@ -393,6 +392,10 @@ def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
     check_d_squared(diffs, r, ctx.p)
     new_cells = {}
     for (i, j), cell in page.cells.items():
+        if r == 2 and j >= 2:
+            # t is a d_2-cycle (d_2 reads only eps): E_3 repeats rows 0 and 1
+            new_cells[(i, j)] = new_cells[(i, j % 2)]
+            continue
         out, inc = (_nonzero(diffs.get(ij)) for ij in ((i, j), (i - r, j + r - 1)))
         new_cells[(i, j)] = (cell if out is None and inc is None
                              else _turn_cell(cell, out, inc, ctx.p))
@@ -537,9 +540,8 @@ def run(
 def possible_higher_differentials(page: Page, r_max: int) -> list[tuple[int, tuple, tuple]]:
     """Bidegree pairs that could still support a nonzero d_r for r > r_max.
 
-    Purely an inspection of nonzero bidegrees within the trusted range
-    (source and target through valid_through); the engine cannot rule
-    these out by itself.
+    Purely an inspection of nonzero bidegrees within the trusted range;
+    the engine cannot rule these out by itself.
     """
     top = page.valid_through
     return [(r, (i, j), (i + r, j - r + 1))

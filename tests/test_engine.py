@@ -709,13 +709,16 @@ def test_turn_page_builds_one_subquotient_per_changed_block_cell(monkeypatch):
     while page.r < 7:
         r = page.r
         diffs = differential_matrix(ctx, page, r) if r < 5 else apply_overrides(ctx, page, ovs)
-        changed = {(i, j) for (i, j) in page.cells
+        # E_3 repeats its rows 0 and 1, so turning E_2 works on those alone
+        turned = [(i, j) for i, j in page.cells if r > 2 or j < 2]
+        changed = {(i, j) for i, j in turned
                    if _nonzero_matrix(diffs.get((i, j)))
                    or _nonzero_matrix(diffs.get((i - r, j + r - 1)))}
         calls.clear()
         new = engine.turn_page(ctx, page, diffs)
         assert len(calls) == len(changed), r
-        assert all(new.cells[ij] is cell for ij, cell in page.cells.items() if ij not in changed)
+        assert all(new.cells[ij] is page.cells[ij] for ij in turned if ij not in changed)
+        assert r > 2 or all(new.cells[(i, j)] is new.cells[(i, j % 2)] for i, j in new.cells)
         page = new
 
 
