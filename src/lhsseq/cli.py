@@ -254,15 +254,13 @@ def _verify_products(rng, pairs, complex_of):
     results = {}
     for name, _ in _test_extensions(slow=False):
         cx = complex_of(name)
-        worst_a = worst_d = worst_t = 0
-        done = 0
+        worst_a = worst_d = worst_t = done = 0
         while done < pairs:
             i1, j1, i2, j2 = rng.randint(0, 4, size=4)
             if i1 + j1 + i2 + j2 > 3:
                 continue
             done += 1
-            phi = cx.random_cochain(rng, i1, j1)
-            theta = cx.random_cochain(rng, i2, j2)
+            phi, theta = cx.random_cochain(rng, i1, j1), cx.random_cochain(rng, i2, j2)
             worst_d = max(worst_d, derivation_residual(cx, phi, theta))
             worst_t = max(worst_t, twist_residual(cx, phi, theta))
             rho = cx.random_cochain(rng, 0, min(3 - i1 - j1 - i2 - j2, 1))
@@ -287,17 +285,8 @@ def _test_extensions(slow: bool):
     ]
     if slow:
         q33 = AbelianPGroupSpec(3, (1, 1))
-        out.append(
-            (
-                "extraspecial27",
-                ExtensionSpec(
-                    p=3,
-                    kernel_m=1,
-                    quotient=q33,
-                    xi=cup(CohoClass.y(q33, 0), CohoClass.y(q33, 1)),
-                ),
-            )
-        )
+        xi = cup(CohoClass.y(q33, 0), CohoClass.y(q33, 1))
+        out.append(("extraspecial27", ExtensionSpec(p=3, kernel_m=1, quotient=q33, xi=xi)))
     return out
 
 
@@ -307,16 +296,14 @@ def _verify_cup1(rng, pairs, slow, complex_of):
     results = {}
     for name, _ in _test_extensions(slow):
         cx = complex_of(name)
-        worst = 0
-        done = 0
+        worst = done = 0
         n_pairs = pairs if cx.ng <= 3 else max(4, pairs // 20)
         while done < n_pairs:
             i1, j1, i2, j2 = rng.randint(0, 4, size=4)
             if i1 + j1 + i2 + j2 > 3:
                 continue
             done += 1
-            phi = cx.random_cochain(rng, i1, j1)
-            theta = cx.random_cochain(rng, i2, j2)
+            phi, theta = cx.random_cochain(rng, i1, j1), cx.random_cochain(rng, i2, j2)
             for fname, r in check_lemma1(cx, phi, theta):
                 if r is not None:
                     worst = max(worst, r.max_residual())

@@ -466,7 +466,7 @@ def apply_overrides(ctx: EngineContext, page: Page, overrides: list[Differential
 
 
 def _check_overrides(ctx: EngineContext, overrides: list[DifferentialOverride]):
-    """Refuse the overrides the row block cannot carry (module docstring)."""
+    """Refuse the overrides the row block cannot carry (module docstring) or no page turn reads."""
     p, period = ctx.p, 2 * ctx.p
     if overrides and ctx.spec.kernel_m > 1:
         raise EngineError(f"overrides need kernel_m = 1, got {ctx.spec.kernel_m}: the row "
@@ -478,6 +478,9 @@ def _check_overrides(ctx: EngineContext, overrides: list[DifferentialOverride]):
         if ov.r > period:
             raise EngineError(f"d_{ov.r} override at p = {p}: past page 2p = {period}, t^{p} "
                               f"need not survive, so the override cannot act on its multiples")
+        if ov.r >= ctx.r_max:
+            raise EngineError(f"d_{ov.r} override with r_max = {ctx.r_max}: pages turn only "
+                              f"through d_{ctx.r_max - 1}, so it would never act; raise r_max")
         if j_s >= period:
             raise EngineError(f"override source {ov.source} lies in row {j_s} >= 2p = {period}: "
                               f"give the override divided by t^{p * (j_s // period)}")

@@ -16,13 +16,15 @@ Convention notes (the self-test suite pins these):
     of d_0/d_1 over the cup product, which the ladder identities need);
   * the middle-swap tau carries (-1)^{(degree swapped P piece)(degree Q piece)}.
 
-Face matrices.  Each target row of d0 or d1 has one entry per face, and an
-entry's sign depends only on its face, so a face matrix is an int32 index array
-of shape (faces, rows), face-major, with one sign per face.  d^2 = 0 is checked
-over the integers: each (left face, right face) pair of a composite is one
-column vector with one sign; a +sign vector cancels an equal -sign one, which
-adds zero to every row, and what is left is summed per row in int64 before the
-one reduction mod p.  No step rounds, wraps or skips an entry: the check is exact.
+Faces.  Each target row of d0 or d1 has one term per face, whose sign depends
+only on the face.  `_faces` gives the faces of any array over the source's
+digit axes: a broadcast view for face k >= 1, a gather for face 0.  d0 and d1
+of a cochain sum the signed faces of its values; a face matrix, int32 of shape
+(faces, rows) with one sign per face, is the faces of the column numbers.
+d^2 = 0 is checked over the integers: each (left face, right face) pair of a
+composite is one column vector with one sign; a +sign vector cancels an equal
+-sign one, which adds zero to every row, and what is left is summed per row in
+int64 before the one reduction mod p.  No step rounds, wraps or skips an entry.
 
 Products.  The five products of a in (i1, j1) and b in (i2, j2) share one
 rule: each kind picks a split of the target digits on the P side
@@ -106,17 +108,14 @@ class E0Cochain:
 
     def __add__(self, other):
         self._check(other)
-        return E0Cochain(self.complex, self.i, self.j,
-                         (self.values + other.values) % self.complex.p)
+        return E0Cochain(self.complex, self.i, self.j, (self.values + other.values) % self.complex.p)
 
     def __sub__(self, other):
         self._check(other)
-        return E0Cochain(self.complex, self.i, self.j,
-                         (self.values - other.values) % self.complex.p)
+        return E0Cochain(self.complex, self.i, self.j, (self.values - other.values) % self.complex.p)
 
     def scale(self, c: int):
-        return E0Cochain(self.complex, self.i, self.j,
-                         (self.values * c) % self.complex.p)
+        return E0Cochain(self.complex, self.i, self.j, (self.values * c) % self.complex.p)
 
     def _check(self, other):
         if (self.i, self.j) != (other.i, other.j):
@@ -131,7 +130,7 @@ def _row_ranges(sizes: tuple, step: int):
     """Consecutive ranges of at most `step` rows that cover the rows of a target
     with mixed-radix digit axes `sizes`.  Each is a box of the axes: its leading
     digits are fixed, one axis runs over a sub-range and the rest are whole, so
-    `_face_matrix` can broadcast over it."""
+    `_faces` can broadcast over it (`_box`)."""
     n = span = unit = math.prod(sizes)
     for s in sizes:
         if unit <= step:
@@ -143,12 +142,10 @@ def _row_ranges(sizes: tuple, step: int):
             yield range(lo, min(lo + size, base + span))
 
 
-def _face_pairs(left, right) -> list:
-    """(sign, column vector) of each face pair (ka, kb) of the composite of two
-    face matrices, right applied first: row r of the pair's vector is the column
-    right_idx[kb][left_idx[ka][r]], and its sign is the product of the faces'."""
-    (a, sa), (b, sb) = left, right
-    return [(sa[ka] * sb[kb], b[kb].take(a[ka])) for ka in range(len(sa)) for kb in range(len(sb))]
+def _box(sizes: tuple, rows: range) -> tuple:
+    """The box of digit axes `sizes` that `rows` (all, or as `_row_ranges` cuts them) covers."""
+    lo, hi = (np.unravel_index(r, sizes) for r in (rows.start, rows.stop - 1))
+    return tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
 
 
 def _uncancelled(pairs: list) -> list:
@@ -202,6 +199,9 @@ class BarDoubleComplex:
         self._digits: dict = {}
         self._dmat: dict = {}
         self._plans: dict = {}
+        # face 0's moves, by its dropped digit x: [g, x] -> the new g, [x, d] -> x^-1 d
+        self._moves = {"d0": (self.G.mul[self.G.inv[self.pi]].T, self.E.mul[self.E.inv]),
+                       "d1": (self.G.mul, self.G.mul[self.G.inv])}
 
     # -- bases ---------------------------------------------------------
 
@@ -222,9 +222,12 @@ class BarDoubleComplex:
             self._digits[key] = np.indices((base,) * length).reshape(length, base**length).T
         return self._digits[key]
 
+    def _axes(self, i: int, j: int) -> tuple:
+        """The sizes of the digit axes (g, s_1..s_i, e_1..e_j) of bidegree (i, j)."""
+        return (self.ng,) * (i + 1) + (self.ne,) * j
+
     def index(self, g: int, s: tuple, e: tuple) -> int:
-        sizes = (self.ng,) * (len(s) + 1) + (self.ne,) * len(e)
-        return int(np.ravel_multi_index((g, *s, *e), sizes))
+        return int(np.ravel_multi_index((g, *s, *e), self._axes(len(s), len(e))))
 
     # -- differentials ----------------------------------------------------
 
@@ -238,93 +241,94 @@ class BarDoubleComplex:
         """(ti, tj, sizes): the target bidegree of d0 or d1 out of (i, j) and the
         sizes of its digit axes (g, s_1..s_ti, e_1..e_tj)."""
         ti, tj = (i, j + 1) if name == "d0" else (i + 1, j)
-        return ti, tj, (self.ng,) * (ti + 1) + (self.ne,) * tj
+        return ti, tj, self._axes(ti, tj)
 
-    def _face_matrix(self, name: str, i: int, j: int,
-                     rows: range | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The face matrix (idx, signs) of d0 : (i, j) -> (i, j+1) or
-        d1 : (i, j) -> (i+1, j), or of its target rows `rows` alone, a box of the
-        digit axes as `_row_ranges` cuts them; only the full matrix is cached.
-        Every target row has one entry per face, and an entry's sign depends
-        only on its face, so idx is int32 of shape (faces, rows), face-major:
-        idx[k, r] is the source column of face k of row r (a row may repeat a
-        column), and signs holds the int64 sign of each face, (-1)^(k+i) for d0
-        and (-1)^k for d1.  The columns are written by broadcasting over the
-        target's digits (g, s_1..s_i, e_1..e_j) in the rows' box.  Face k >= 1
-        drops the k-th digit of the moving block (e for d0, s for d1) and keeps
-        every other digit at its source weight; face 0 drops the block's first
-        digit x, maps g to pi(x)^-1 g (d0) or g x (d1) and each later block digit
-        d to x^-1 d.  The budget and the int32 guard bound the rows built."""
+    def _faces(self, name: str, i: int, j: int, src: np.ndarray, box: tuple):
+        """Face k of d0 or d1 out of (i, j) on `src`, an array over the source's
+        digit axes, at the target rows in `box` (`_box`): yields (k, at, values),
+        face k at box[at].  Face k >= 1 drops the k-th digit of the moving block
+        (e for d0, s for d1): a view of src with that axis inserted.  Face 0 drops
+        the block's first digit x, maps g to pi(x)^-1 g (d0) or g x (d1) and each
+        later block digit d to x^-1 d: a gather along those axes, x by x."""
+        ti, _, sizes = self._target_axes(name, i, j)
+        first, stop = (ti + 1, len(sizes)) if name == "d0" else (1, ti + 1)  # the moving block
+        for a in range(first, stop):
+            yield a - first + 1, (), np.expand_dims(src, a)[box[:a] + (slice(None),) + box[a + 1:]]
+        move_g, move_d = self._moves[name]
+        src = src[tuple(slice(None) if a == 0 or first < a < stop else box[a]
+                        for a in range(len(sizes)) if a != first)]
+        for x in range(box[first].start, box[first].stop):
+            v = src.take(move_g[box[0], x], axis=0)
+            for a in range(first + 1, stop):
+                v = v.take(move_d[x, box[a]], axis=a - 1)
+            yield 0, (slice(None),) * first + (x - box[first].start,), v
+
+    def _signs(self, name: str, i: int, j: int) -> np.ndarray:
+        """The int64 sign of each face k: (-1)^(k+i) for d0, (-1)^k for d1."""
+        faces, shift = (j + 2, i) if name == "d0" else (i + 2, 0)
+        return np.array([(-1) ** (k + shift) for k in range(faces)], dtype=np.int64)
+
+    def _face_matrix(self, name: str, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The face matrix (idx, signs) of d0 or d1 out of (i, j), cached: idx is
+        int32 of shape (faces, rows), face-major, idx[k, r] the source column of
+        face k of row r (a row may repeat a column): face k (`_faces`) of the
+        source's column numbers.  The budget and the int32 guard bound it."""
         key = (name, i, j)
-        if rows is None and key in self._dmat:
-            return self._dmat[key]
-        d0 = name == "d0"
-        ti, tj, sizes = self._target_axes(name, i, j)
-        lo, hi = (0, self.dim(ti, tj)) if rows is None else (rows.start, rows.stop)
-        n, faces = hi - lo, (tj if d0 else ti) + 1
-        what = f"the {name} face matrix out of ({i}, {j})"
-        if rows is not None:
-            what += f", rows {lo:,}..{hi - 1:,}"
-        check_budget(n * faces, self.budget, what)
-        if max(n * faces, self.dim(i, j)) > np.iinfo(np.int32).max:
-            raise BudgetExceeded(f"{what} needs {n * faces:,} entries, past int32 indices")
-        digits = [np.arange(a, b + 1) for a, b in np.unravel_index([lo, hi - 1], sizes)]
-        shape = [len(d) for d in digits]  # a non-box range fails the reshape below
-        ng, ne, grp = self.ng, self.ne, self.E if d0 else self.G
-        weights = [ng ** (i - a) * ne**j for a in range(i + 1)] + [ne**b for b in range(j)][::-1]
-        first, stop = (ti + 1, len(sizes)) if d0 else (1, ti + 1)  # the moving block's axes
-        move_g = self.G.mul[self.G.inv[self.pi]].T if d0 else self.G.mul  # [g, x]
-        move_d = grp.mul[grp.inv]  # [x, d] -> x^-1 d
-        on = lambda t, *axes: _on_axes(t.astype(np.int32), axes, shape)
-        idx = np.empty((faces, n), dtype=np.int32)
-        for k in range(faces):
-            drop = first + max(k - 1, 0)
-            w = weights[:drop] + [0] + weights[drop:]
-            terms = {a: on(digits[a] * w[a], a) for a in range(len(sizes)) if a != drop}
-            if k == 0:
-                terms[0] = on(move_g[np.ix_(digits[0], digits[first])] * w[0], 0, first)
-                terms.update({a: on(move_d[np.ix_(digits[first], digits[a])] * w[a], first, a)
-                              for a in range(first + 1, stop)})
-            out = idx[k].reshape(shape)
-            out[...] = terms.pop(0)
-            for t in terms.values():
-                out += t
-        m = idx, np.array([(-1) ** (k + (i if d0 else 0)) for k in range(faces)], dtype=np.int64)
-        if rows is None:
-            self._dmat[key] = m
-        return m
+        if key not in self._dmat:
+            ti, tj, sizes = self._target_axes(name, i, j)
+            signs, rows = self._signs(name, i, j), self.dim(ti, tj)
+            what, n = f"the {name} face matrix out of ({i}, {j})", rows * len(signs)
+            check_budget(n, self.budget, what)
+            if max(n, self.dim(i, j)) > np.iinfo(np.int32).max:
+                raise BudgetExceeded(f"{what} needs {n:,} entries, past int32 indices")
+            idx = np.empty((len(signs), rows), dtype=np.int32)
+            cols = np.arange(self.dim(i, j), dtype=np.int32).reshape(self._axes(i, j))
+            for k, at, v in self._faces(name, i, j, cols, _box(sizes, range(rows))):
+                idx[k].reshape(sizes)[at] = v
+            self._dmat[key] = idx, signs
+        return self._dmat[key]
 
     def d0(self, c: E0Cochain) -> E0Cochain:
-        return E0Cochain(self, c.i, c.j + 1, self._apply(self.d0_matrix(c.i, c.j), c.values))
+        return self._image("d0", c)
 
     def d1(self, c: E0Cochain) -> E0Cochain:
-        return E0Cochain(self, c.i + 1, c.j, self._apply(self.d1_matrix(c.i, c.j), c.values))
+        return self._image("d1", c)
 
-    def _apply(self, m, values: np.ndarray) -> np.ndarray:
-        """The face matrix m on `values`, mod p: each face adds its sign times the
-        values at its columns, in blocks of at most as many rows as m has columns."""
-        idx, signs = m
-        out = np.zeros(idx.shape[1], dtype=np.int64)
-        step = len(values)
-        for lo in range(0, len(out), step):
-            block = out[lo:lo + step]
-            for k, s in enumerate(signs):
-                block += s * values.take(idx[k, lo:lo + step])
-            np.remainder(block, self.p, out=block)
-        return out
+    def _image(self, name: str, c: E0Cochain) -> E0Cochain:
+        """d0 or d1 of c, mod p: the sum of the signed faces of its values."""
+        ti, tj, sizes = self._target_axes(name, c.i, c.j)
+        check_budget(self.dim(ti, tj), self.budget, f"the {name} image of a cochain in ({c.i}, {c.j})")
+        out, signs = np.zeros(sizes, dtype=np.int64), self._signs(name, c.i, c.j)
+        for k, at, v in self._faces(name, c.i, c.j, c.values.reshape(self._axes(c.i, c.j)),
+                                    _box(sizes, range(out.size))):
+            (np.add if signs[k] > 0 else np.subtract)(out[at], v, out=out[at])
+            del v  # the next gather starts without it
+        return E0Cochain(self, ti, tj, np.remainder(out, self.p, out=out).reshape(-1))
+
+    def _face_pairs(self, left: tuple, right, box: tuple, out: np.ndarray) -> list:
+        """(sign, column vector) of each face pair (ka, kb) of d0 or d1 `left` =
+        (name, i, j) after the face matrix right = (idx, signs) into (i, j), at
+        the rows in `box`: the vector is face ka of idx[kb] (`_faces`), written to
+        row kb * faces + ka of `out`, and its sign is the product of the faces'."""
+        shape, lsigns, (idx, rsigns) = [b.stop - b.start for b in box], self._signs(*left), right
+        for kb, col in enumerate(idx):
+            for ka, at, v in self._faces(*left, col.reshape(self._axes(*left[1:])), box):
+                out[kb * len(lsigns) + ka].reshape(shape)[at] = v
+        return [(sb * sa, out[kb * len(lsigns) + ka]) for kb, sb in enumerate(rsigns)
+                for ka, sa in enumerate(lsigns)]
 
     def complex_identity_residual(self, max_total: int | None = None) -> int:
         """Exhaustive check of d0^2 = d1^2 = d0 d1 + d1 d0 = 0 on every stored
         bidegree, exact over the integers and reduced mod p once.  The right
-        operands, out of (i, j), are the cached matrices.  The left operands, out
-        of total degree i + j + 1, are built in row blocks of at most as many
-        rows as they have columns, at the point of use, and dropped after the
-        block; the blocks of d0 d1 and d1 d0 cover the same rows.  In a block,
-        each pair of a left face and a right face is one column vector with one
-        sign (`_face_pairs`).  A +sign vector cancels an equal -sign one, which
-        adds zero to every row (`_uncancelled`); on a complex nothing is left.
-        What is left is summed per row in int64 and only then reduced mod p
-        (`_row_residual`), so no sum wraps and none is dropped."""
+        operands, out of (i, j), are the cached matrices; the left ones, out of
+        total degree i + j + 1, act on their columns through `_faces`, in row
+        blocks of at most as many rows as they have columns.  In a block, each
+        pair of a left face and a right face is one column vector with one sign
+        (`_face_pairs`), in one buffer that the composite's blocks reuse.  A
+        +sign vector cancels an equal -sign one, which adds zero to every row
+        (`_uncancelled`); on a complex nothing is left.  What is left is summed
+        per row in int64 and only then reduced mod p (`_row_residual`), so no
+        sum wraps and none is dropped."""
         top = self.bound if max_total is None else max_total
         worst = 0
         for i in range(top + 1):
@@ -332,10 +336,16 @@ class BarDoubleComplex:
                 d0, d1 = self.d0_matrix(i, j), self.d1_matrix(i, j)
                 for terms in ([(("d0", i, j + 1), d0)], [(("d1", i + 1, j), d1)],
                               [(("d0", i + 1, j), d1), (("d1", i, j + 1), d0)]):
-                    step = min(self.dim(a, b) for (_, a, b), _ in terms)
-                    for rows in _row_ranges(self._target_axes(*terms[0][0])[2], step):
-                        pairs = [pair for left, right in terms
-                                 for pair in _face_pairs(self._face_matrix(*left, rows), right)]
+                    sizes = self._target_axes(*terms[0][0])[2]
+                    blocks = list(_row_ranges(sizes, min(self.dim(a, b) for (_, a, b), _ in terms)))
+                    count = sum(len(self._signs(*left)) * len(right[1]) for left, right in terms)
+                    check_budget(count * len(blocks[0]), self.budget, "the face pairs of a d^2 row block")
+                    buf = np.empty((count, len(blocks[0])), dtype=np.int32)  # the first is the longest
+                    for rows in blocks:
+                        pairs = []
+                        for left, right in terms:
+                            pairs += self._face_pairs(left, right, _box(sizes, rows),
+                                                      buf[len(pairs):, :len(rows)])
                         worst = max(worst, _row_residual(_uncancelled(pairs), self.p))
         return worst
 

@@ -148,7 +148,9 @@ P3 = '{p: 3, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}'
      "divided by t^3"),
     ("compare", '{p: 3, kernel_m: 2, quotient: [1, 1], xi: "y1*y2", xi_prime: "x1*y2 - x2*y1"}',
      "d5 | t^2*x1*y2 - t^2*x2*y1 | x1^3*x2 - x2^3*x1", "overrides need kernel_m = 1, got 2"),
-], ids=["page_past_2p", "p_2", "source_above_the_block", "kernel_m_2"])
+    ("sseq", '{p: 5, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}', "d7 | t^3*y1 | x1^4",
+     "d_7 override with r_max = 7: pages turn only through d_6, so it would never act"),
+], ids=["page_past_2p", "p_2", "source_above_the_block", "kernel_m_2", "page_r_max"])
 def test_overrides_the_row_block_cannot_carry_error(command, spec_text, line, message, tmp_path,
                                                      capsys):
     spec, overrides = tmp_path / "spec.cfg", tmp_path / "overrides.cfg"

@@ -668,6 +668,15 @@ def test_override_on_a_page_past_2p_is_rejected():
         _run_with_override("d7 | t^3*y1 | x1^3*x2 | past 2p")
 
 
+def test_override_on_page_r_max_or_later_is_rejected():
+    # pages turn through d_{r_max - 1}: a d5 with r_max = 5 would be listed
+    # as applied and never act
+    spec = make_spec("y1*y2", 1, 1)
+    for r_max in (4, 5):
+        with pytest.raises(EngineError, match=rf"d_5 override with r_max = {r_max}: .* never act"):
+            run(spec, 14, overrides=parse_overrides(CASE_F_OVERRIDES, spec), r_max=r_max)
+
+
 def test_every_override_at_p_2_is_rejected():
     # at p = 2 the first override page, 5, is already past 2p = 4
     spec = parse_extension_spec('{p: 2, kernel_m: 1, quotient: [1, 1], xi: "y1*y2"}')
@@ -750,8 +759,8 @@ def test_randomized_runs_draw_once_per_block_bidegree(seed, monkeypatch):
 def test_shared_arrays_are_read_only():
     # a column's E_2 cell serves all its block rows, and a cell that d_r
     # leaves alone passes to the next page as the same object
-    spec, ovs = _config_with_overrides("extraspecial_27")
-    pages = run(spec, 20, overrides=ovs, r_max=5)["pages"]
+    spec, _ = _config_with_overrides("extraspecial_27")
+    pages = run(spec, 20, r_max=5)["pages"]
     cell = next(c for ij, c in pages[5].cells.items() if c.steps and c is pages[4].cells[ij])
     with pytest.raises(ValueError):
         cell.reps[0, 0] = 1

@@ -11,7 +11,7 @@ from lhsseq.groups import AbelianPGroupSpec, GroupError
 from lhsseq.fplinalg import BudgetExceeded
 from lhsseq.verifier import (
     BarDoubleComplex,
-    _face_pairs,
+    _box,
     _row_ranges,
     _uncancelled,
     build_double_complex,
@@ -81,13 +81,13 @@ def test_bar_budget():
 
 def test_bar_budget_past_bound():
     # bound 2: every cochain through degree 2 fits (at most 243 entries),
-    # and so does the d0 face matrix into (0, 2) (243 rows x 3 faces); the
-    # one into (0, 3) (2,187 x 4) and a product landing there do not
+    # and so does the d0 image in (0, 2) (243 entries); the one in (0, 3)
+    # (2,187 entries) and a product landing there do not
     cx = build_double_complex(c9_extension(), 2, budget=1000)
     rng = np.random.RandomState(0)
     a, b = cx.random_cochain(rng, 0, 1), cx.random_cochain(rng, 0, 2)
     cx.d0(a)
-    with pytest.raises(BudgetExceeded, match=r"d0 face matrix out of \(0, 2\) needs 8,748"):
+    with pytest.raises(BudgetExceeded, match=r"d0 image of a cochain in \(0, 2\) needs 2,187"):
         cx.d0(b)
     with pytest.raises(BudgetExceeded, match=r"product in bidegree \(0, 3\)"):
         cx.product(a, b, "cup")
@@ -141,7 +141,7 @@ def test_face_matrix_int32_index_guard():
 def test_face_matrix_memory():
     cx = build_double_complex(extraspecial27_extension(), 3)
     tracemalloc.start()
-    idx, signs = cx.d0_matrix(0, 3)  # 4.78M rows x 5 faces, 96 MB
+    idx, signs = cx.d0_matrix(0, 3)  # 4.78M rows x 5 faces, 96 MB, built on request only
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert (idx.dtype, idx.shape) == (np.int32, (5, cx.dim(0, 4)))
@@ -153,10 +153,44 @@ def test_face_matrix_memory():
     out = cx.d0(c)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # the output plus one block's temporaries: as many rows as the matrix has
-    # columns, each with two words of 8 bytes (the values a face gathers and
-    # their signed copy), and a few small arrays
+    # the output plus the temporaries of face 0 at one value of its dropped
+    # digit: as many entries as c has, in two words of 8 bytes (a gather and
+    # the next one, along another axis), and a few small arrays
     assert peak <= out.values.nbytes + cx.dim(0, 3) * 2 * 8 + 4096
+
+
+def face_matrix_image(cx, name, c):
+    """d0 or d1 of the cochain c as its face matrix times c.values, summed by np.add.at."""
+    idx, signs = cx._face_matrix(name, c.i, c.j)
+    out = np.zeros(idx.shape[1], dtype=np.int64)
+    for k, s in enumerate(signs):
+        np.add.at(out, np.arange(idx.shape[1]), s * c.values[idx[k]])
+    return out % cx.p
+
+
+@pytest.mark.parametrize("fixture", ["cx4", "cx9"])
+def test_differentials_match_the_face_matrices(fixture, request):
+    cx = request.getfixturevalue(fixture)
+    rng = np.random.RandomState(12)
+    for total in range(4):
+        for i in range(total + 1):
+            c = cx.random_cochain(rng, i, total - i)
+            for name in ("d0", "d1"):
+                d = getattr(cx, name)(c)
+                assert (d.i, d.j) == cx._target_axes(name, c.i, c.j)[:2]
+                assert np.array_equal(d.values, face_matrix_image(cx, name, c)), (name, c.i, c.j)
+
+
+@pytest.mark.slow
+def test_differentials_match_the_face_matrices_extraspecial_27():
+    cx = build_double_complex(extraspecial27_extension(), 3)
+    rng = np.random.RandomState(13)
+    for i, j in [(0, 3), (1, 2)]:
+        c = cx.random_cochain(rng, i, j)
+        for name in ("d0", "d1"):
+            want = face_matrix_image(cx, name, c)
+            assert np.array_equal(getattr(cx, name)(c).values, want), (name, i, j)
+        cx._dmat.clear()  # one bidegree's referees at a time: d0 out of (0, 3) is 96 MB
 
 
 def test_complex_identities_exhaustive(cx4, cx9):
@@ -165,15 +199,48 @@ def test_complex_identities_exhaustive(cx4, cx9):
 
 
 def test_face_matrix_products_cancel_exactly(cx9):
-    # each face pair of d0 d0 and d1 d1 is one column vector, and each cancels
-    # a pair of the opposite sign equal to it entry for entry
-    for left, right in [(cx9.d0_matrix(0, 2), cx9.d0_matrix(0, 1)),
-                        (cx9.d1_matrix(1, 1), cx9.d1_matrix(0, 1))]:
-        pairs = _face_pairs(left, right)
-        assert len(pairs) == len(left[1]) * len(right[1])
-        assert all(v.shape == (left[0].shape[1],) for _, v in pairs)
+    # each face pair of d0 d0 and d1 d1 is one column vector, the product of
+    # the two face matrices' rows, and each cancels a pair of the opposite sign
+    # equal to it entry for entry
+    for left, right in [(("d0", 0, 2), cx9.d0_matrix(0, 1)), (("d1", 1, 1), cx9.d1_matrix(0, 1))]:
+        (a, sa), (b, sb) = cx9._face_matrix(*left), right
+        out = np.empty((len(sa) * len(sb), a.shape[1]), dtype=np.int32)
+        box = _box(cx9._target_axes(*left)[2], range(a.shape[1]))
+        pairs = cx9._face_pairs(left, right, box, out)
+        assert len(pairs) == len(sa) * len(sb)
+        want = [(sa[ka] * sb[kb], b[kb][a[ka]]) for kb in range(len(sb)) for ka in range(len(sa))]
+        assert all(s == t and np.array_equal(v, w) for (s, v), (t, w) in zip(pairs, want))
         assert _uncancelled(pairs) == []
         assert len(_uncancelled(pairs[1:])) == 1
+
+
+def misread_column(monkeypatch, key, face, row):
+    """Make face `face` of target row `row` of d0 or d1 out of key = (name, i, j)
+    read the source column after its own, wherever `_faces` applies it: in the
+    face matrix, on a cochain and on a right operand's columns in the d^2
+    check.  Returns the row boxes where it did."""
+    faces, hits = BarDoubleComplex._faces, []
+
+    def misread(self, name, i, j, src, box):
+        ti, _, sizes = self._target_axes(name, i, j)
+        digits = np.unravel_index(row, sizes) if (name, i, j) == key else ()
+        if not digits or not all(b.start <= d < b.stop for d, b in zip(digits, box)):
+            yield from faces(self, name, i, j, src, box)
+            return
+        values = np.empty([b.stop - b.start for b in box], dtype=src.dtype)
+        for k, at, v in faces(self, name, i, j, src, box):
+            if k == face:
+                values[at] = v
+            else:
+                yield k, at, v
+        g, s, e = digits[0], digits[1:ti + 1], digits[ti + 1:]
+        col, _ = tuple_faces(self, name, i, j, g, s, e)[face]
+        values[tuple(d - b.start for d, b in zip(digits, box))] = src.flat[(col + 1) % src.size]
+        hits.append(box)
+        yield face, (), values
+
+    monkeypatch.setattr(BarDoubleComplex, "_faces", misread)
+    return hits
 
 
 # d0 (3, 0) -> (3, 1) is read through total degree 2 only by d0 d1 + d1 d0.
@@ -181,37 +248,24 @@ def test_face_matrix_products_cancel_exactly(cx9):
 def test_complex_identities_detect_a_corrupted_face(which, i, j, monkeypatch):
     cx = build_double_complex(c9_extension(), 3)
     # not row 0, the all-identity tuple, whose image under the next
-    # differential cancels, but the column of the last face of the last row
-    def corrupt(idx, cols):
-        idx[-1, -1] = (idx[-1, -1] + 1) % cols
-
-    if i + j <= 2:
-        # a right operand: the cached matrix, which every later read shares
-        corrupt(getattr(cx, f"{which}_matrix")(i, j)[0], cx.dim(i, j))
-    else:
-        # a left operand only, built in row blocks at each use and never
-        # cached: corrupt the block that holds the last row
-        build, hit = BarDoubleComplex._face_matrix, []
-        last = cx.dim(*cx._target_axes(which, i, j)[:2]) - 1
-
-        def corrupted(self, name, a, b, rows=None):
-            m = build(self, name, a, b, rows)
-            if (name, a, b) == (which, i, j) and rows is not None and last in rows:
-                corrupt(m[0], cx.dim(i, j))
-                hit.append(rows)
-            return m
-
-        monkeypatch.setattr(BarDoubleComplex, "_face_matrix", corrupted)
+    # differential cancels, but the last face of the last row
+    ti, tj, sizes = cx._target_axes(which, i, j)
+    hits = misread_column(monkeypatch, (which, i, j), len(cx._signs(which, i, j)) - 1,
+                          cx.dim(ti, tj) - 1)
     assert cx.complex_identity_residual(2) != 0
     if i + j > 2:
-        assert len(hit) == 1 and hit[0].start > 0
+        # a left operand only, never cached, applied to each right face's
+        # columns in the one row block that holds the last row
+        assert hits and all(box == hits[0] for box in hits)
+        assert hits[0] != _box(sizes, range(cx.dim(ti, tj)))
         assert (which, i, j) not in cx._dmat
 
 
 @pytest.mark.parametrize("fixture", ["cx4", "cx9"])
 def test_face_matrix_blocks_stack_to_the_full_matrix(fixture, request):
-    # the row blocks of the d^2 check, and blocks cut finer and coarser than
-    # it cuts them, are the full matrix's rows, entry for entry
+    # the faces of the column numbers on the row blocks of the d^2 check, and
+    # on blocks cut finer and coarser than it cuts them, are the full matrix's
+    # rows, entry for entry
     cx = request.getfixturevalue(fixture)
     for total in range(4):
         for i in range(total + 1):
@@ -219,15 +273,19 @@ def test_face_matrix_blocks_stack_to_the_full_matrix(fixture, request):
             for name in ("d0", "d1"):
                 full, signs = cx._face_matrix(name, i, j)
                 sizes = cx._target_axes(name, i, j)[2]
+                cols = np.arange(cx.dim(i, j), dtype=np.int32).reshape(cx._axes(i, j))
                 for step in sorted({1, 5, cx.dim(i, j), full.shape[1]}):
                     ranges = list(_row_ranges(sizes, step))
                     assert all(0 < len(r) <= step for r in ranges)
                     assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
-                    blocks = [cx._face_matrix(name, i, j, r) for r in ranges]
-                    for (b, s), r in zip(blocks, ranges):
-                        assert (b.shape, b.dtype) == ((len(signs), len(r)), np.int32)
-                        assert np.array_equal(s, signs), (name, i, j, step)
-                    m = np.concatenate([b for b, _ in blocks], axis=1)
+                    blocks = []
+                    for r in ranges:
+                        box = _box(sizes, r)
+                        b = np.empty((len(signs), len(r)), dtype=np.int32)
+                        for k, at, v in cx._faces(name, i, j, cols, box):
+                            b[k].reshape([s.stop - s.start for s in box])[at] = v
+                        blocks.append(b)
+                    m = np.concatenate(blocks, axis=1)
                     assert np.array_equal(m, full), (name, i, j, step)
 
 
@@ -239,29 +297,19 @@ def test_complex_identities_exact_past_int8():
     # sum kept in int8 would wrap 257 back to 1 and the residual would read 0.
     cx = build_double_complex(c9_extension(), 3)
     idx, signs = cx.d0_matrix(0, 2)
-    assert (idx[:, 0] == 0).all() and (cx._face_matrix("d0", 0, 3, range(1))[0] == 0).all()
+    assert (idx[:, 0] == 0).all() and (cx.d0_matrix(0, 3)[0][:, 0] == 0).all()
     signs[0] += 256
     assert cx.complex_identity_residual(2) == 1
 
 
 @pytest.mark.parametrize("spec,top", [(c4_extension, 2), (c9_extension, 1)])
 def test_complex_identities_match_a_dense_referee(spec, top, monkeypatch):
-    # one face index of d0 out of (1, 0), which the check reads both as a right
-    # operand and in left blocks, corrupted alike in the full matrix and in
-    # the block that holds its row; the referee multiplies dense matrices
+    # one face column of d0 out of (1, 0), which the check reads both as a
+    # right operand and as a left one, misread alike in its face matrix and on
+    # the right operands' columns; the referee multiplies dense face matrices
     cx = build_double_complex(spec(), 3)
-    build, p = BarDoubleComplex._face_matrix, cx.p
-    row = cx.dim(1, 1) // 2 + 1
-
-    def corrupted(self, name, a, b, rows=None):
-        idx, signs = build(self, name, a, b, rows)
-        r = row - (0 if rows is None else rows.start)
-        if (name, a, b) == ("d0", 1, 0) and 0 <= r < idx.shape[1]:
-            idx = idx.copy()
-            idx[0, r] = (idx[0, r] + 1) % cx.dim(1, 0)
-        return idx, signs
-
-    monkeypatch.setattr(BarDoubleComplex, "_face_matrix", corrupted)
+    misread_column(monkeypatch, ("d0", 1, 0), 0, cx.dim(1, 1) // 2 + 1)
+    p = cx.p
 
     def dense(name, i, j):
         idx, signs = cx._face_matrix(name, i, j)
@@ -290,9 +338,11 @@ def test_complex_identities_extraspecial_27():
     assert cx.complex_identity_residual(2) == 0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # the left operands out of total degree 3 (d0 out of (0, 3) alone would
-    # be 96 MB) are built in blocks and dropped; only the right operands stay
-    assert peak <= 64 * 2**20
+    # no left operand out of total degree 3 is built (d0 out of (0, 3) alone
+    # would be 96 MB): the peak is the one buffer of d0 d0 out of (0, 2), 20
+    # face pairs x 177,147 rows of int32 (13.5 MB), beside the right operands
+    # (4.4 MB); 18.2 MB measured
+    assert peak <= 20 * 2**20
     assert all(i + j < 3 for _, i, j in cx._dmat)
 
 
@@ -481,6 +531,25 @@ def test_lemma1_random_pairs(fixture, pairs, seed, request):
     for phi, theta in random_pairs(cx, rng, pairs):
         for name, r in check_lemma1(cx, phi, theta):
             assert r is None or r.max_residual() == 0, (name, phi.i, phi.j)
+
+
+@pytest.mark.slow
+def test_lemma1_top_degree_builds_no_face_matrix():
+    # d0 of a (0, 3) cochain is verify's largest array, the (0, 4) image of
+    # 4.78M entries; d0 and d1 of cochains sum faces and cache no face matrix
+    cx = build_double_complex(extraspecial27_extension(), 3)
+    rng = np.random.RandomState(4)
+    phi, theta = cx.random_cochain(rng, 0, 3), cx.random_cochain(rng, 0, 0)
+    tracemalloc.start()
+    results = check_lemma1(cx, phi, theta)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert all(r is None or r.is_zero() for _, r in results)
+    assert not cx._dmat
+    # the image, beside at most six arrays in (0, 3) at once (a product read
+    # out of it, with its two index vectors, and the residual's sums), and
+    # 1 MB of smaller arrays; 43.3-45.4 MB measured
+    assert peak <= (cx.dim(0, 4) + 6 * cx.dim(0, 3)) * 8 + 2**20
 
 
 @pytest.mark.slow
