@@ -27,7 +27,8 @@ class (see massey_map); neither calls cup per basis monomial.
 Differentials on pages five and up are zero unless supplied as
 overrides, which are extended over the page by the Leibniz rule (their
 products with surviving base-row classes), again one solve per bidegree,
-in page coordinates.  Both kinds reach turn_page as page matrices.
+in page coordinates.  differential_matrix makes both kinds, and keeps a
+page matrix only where it is nonzero: a bidegree without one has d_r = 0.
 
 A page is stored as its row block.  The lemma (kernel C_p): for
 r <= 2p + 1, E_r = N_r (x) F_p[t^p], N_r the rows 0..2p-1.  For r <= 2p,
@@ -71,7 +72,6 @@ __all__ = [
     "DifferentialOverride",
     "PoincareData",
     "differential_matrix",
-    "apply_overrides",
     "turn_page",
     "run",
     "expand_rational",
@@ -87,28 +87,20 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class E2Element:
-    """A sum of homogeneous starting-page elements, one class per row."""
+    """A homogeneous starting-page element: a nonzero base class in row j,
+    at bidegree (cls.degree, j)."""
 
-    spec: ExtensionSpec
-    rows: dict[int, CohoClass]  # fiber degree j -> base class
+    j: int
+    cls: CohoClass
 
-    def single_bidegree(self) -> tuple[int, int]:
-        items = [(j, c) for j, c in self.rows.items() if not c.is_zero()]
-        if len(items) != 1:
-            raise EngineError("expected a single-bidegree element")
-        j, c = items[0]
-        return c.degree, j
+    @property
+    def bidegree(self) -> tuple[int, int]:
+        return self.cls.degree, self.j
 
     def __str__(self):
-        parts = []
-        for j in sorted(self.rows):
-            c = self.rows[j]
-            if c.is_zero():
-                continue
-            k, eps = divmod(j, 2)
-            fiber = ("t" if k == 1 else f"t^{k}" if k else "") + ("*u" if eps and k else "u" if eps else "")
-            parts.append(f"({c})" + (f"*{fiber}" if fiber else ""))
-        return " + ".join(parts) if parts else "0"
+        k, eps = divmod(self.j, 2)
+        fiber = ("t" if k == 1 else f"t^{k}" if k else "") + ("*u" if eps and k else "u" if eps else "")
+        return f"({self.cls})" + (f"*{fiber}" if fiber else "")
 
 
 @dataclass
@@ -123,8 +115,8 @@ class DifferentialOverride:
     def __post_init__(self):
         if self.r < 5:
             raise EngineError("overrides are for pages five and up")
-        i_s, j_s = self.source.single_bidegree()
-        i_v, j_v = self.value.single_bidegree()
+        i_s, j_s = self.source.bidegree
+        i_v, j_v = self.value.bidegree
         if (i_v, j_v) != (i_s + self.r, j_s - self.r + 1):
             raise EngineError(
                 f"override bidegrees inconsistent with a d_{self.r}: "
@@ -347,33 +339,75 @@ def _page_block(r: int, ij: tuple[int, int], cell: Cell, rows: np.ndarray,
         raise EngineError(f"d_{r} {what} at {ij} is not a page-{r} cycle: {exc}") from exc
 
 
-def differential_matrix(ctx: EngineContext, page: Page, r: int):
-    """Per-bidegree d_r on the block: {(i, j): page matrix}, mapping source
-    page coordinates to target page coordinates."""
-    if r != page.r:
-        raise EngineError(f"page is at r={page.r}, asked for d_{r}")
+def differential_matrix(ctx: EngineContext, page: Page, overrides=()):
+    """d_r on the block, r = page.r: {(i, j): page matrix}, mapping source
+    page coordinates to target page coordinates, for the bidegrees where
+    d_r is nonzero; a missing key is a zero matrix.  d_2, d_3 and d_4 are
+    the formulas; on pages five and up d_r comes from the overrides of
+    page r, extended by the Leibniz rule (_leibniz_block), and is zero
+    without them."""
+    r = page.r
+    active = [ov for ov in overrides if ov.r == r]
+    for ov in active:
+        _check_source_survives(ctx, page, ov)
     out = {}
     for (i, j), cell in page.cells.items():
         tgt = page.cells.get((i + r, j - r + 1))
         if cell.dim == 0 or tgt is None:
-            # missing target: either a negative row (formulas vanish there)
+            # missing target: either a negative row (d_r vanishes there)
             # or beyond the truncation, where valid_through already rules
             continue
         if r == 2:  # on E_2's unit vectors, multiplication by xi itself
             m = ctx.mult_matrix(ctx.xi, i, 2) if j % 2 else None
-        else:
+        elif r <= 4:
             images = _formula_value(ctx, r, i, j, cell.reps)
             m = None if images is None else _page_block(r, (i, j), tgt, images)
-        # a zero page matrix is a read-only broadcast, holding no storage
-        out[(i, j)] = np.broadcast_to(np.int64(0), (tgt.dim, cell.dim)) if m is None else _frozen(m)
+        else:
+            m = _leibniz_block(ctx, r, (i, j), cell, tgt, active)
+        if m is not None and m.any():
+            out[(i, j)] = _frozen(m)
     return out
+
+
+def _leibniz_block(ctx: EngineContext, r: int, ij: tuple[int, int], cell: Cell, tgt: Cell,
+                   active: list[DifferentialOverride]) -> np.ndarray | None:
+    """The page matrix at ij of d_r from the overrides of page r, extended by
+    Leibniz, or None when none reaches ij.
+
+    Each override contributes the classes of source * rho, rho a basis
+    class of the base row H^a(G), each a page-r cycle; a page basis class
+    in their span maps to the matching combination of the classes of
+    value * rho, and one outside it to zero.  On the block this is also
+    d_r(t^{pk} source * rho) = t^{pk} value * rho.
+    """
+    i, j = ij
+    p = ctx.p
+    sources, values = [], []
+    for ov in active:
+        (i_s, j_s), (i_v, j_v) = ov.source.bidegree, ov.value.bidegree
+        if j_s != j or i < i_s:
+            continue
+        # columns source * rho and value * rho over the basis rho of H^a
+        a = i - i_s
+        sources.append(_row_sign(j_s, a) * ctx.mult_matrix(ov.source.cls, a, i_s))
+        values.append(_row_sign(j_v, a) * ctx.mult_matrix(ov.value.cls, a, i_v))
+    if not sources:
+        return None
+    s_mat = np.concatenate(sources, axis=1) % p
+    v_mat = np.concatenate(values, axis=1) % p
+    s_cols = _page_block(r, ij, cell, s_mat.T, "override source product")
+    v_cols = _page_block(r, ij, tgt, v_mat.T)
+    _check_override_well_defined(s_cols, v_cols, p)
+    # x is zero on the page basis classes outside the sources' span
+    x, _ = solve_linear(s_cols, np.eye(cell.dim, dtype=np.int64), p)
+    return mul_mod(v_cols, x, p)
 
 
 def check_d_squared(diffs: dict, r: int, p: int) -> None:
     """d_r^2 = 0 at every bidegree."""
     for (i, j), m1 in diffs.items():
         m2 = diffs.get((i + r, j - r + 1))
-        if m2 is not None and m1.any() and m2.any() and mul_mod(m2, m1, p).any():
+        if m2 is not None and mul_mod(m2, m1, p).any():
             raise EngineError(f"d_{r}^2 != 0 at bidegree {(i, j)}")
 
 
@@ -384,10 +418,10 @@ def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
     A changed cell takes one step, the subquotient of F_p^dim with cycles
     the kernel of the outgoing page matrix and boundaries the columns of
     the incoming one; its quotient representatives times the old ones are
-    the new ones.  A cell whose page matrices are both zero (or missing) is
-    carried over unchanged.  A block cell in row j is hit from row
-    j + r - 1; when that is 2p or more, the source is t^p times a class of
-    a row below r - 1, where d_r is zero, so no matrix comes in."""
+    the new ones.  A cell with no page matrix out or in (diffs holds the
+    nonzero ones) is carried over unchanged.  A block cell in row j is hit
+    from row j + r - 1; when that is 2p or more, the source is t^p times a
+    class of a row below r - 1, where d_r is zero, so no matrix comes in."""
     r = page.r
     check_d_squared(diffs, r, ctx.p)
     new_cells = {}
@@ -396,15 +430,11 @@ def turn_page(ctx: EngineContext, page: Page, diffs: dict) -> Page:
             # t is a d_2-cycle (d_2 reads only eps): E_3 repeats rows 0 and 1
             new_cells[(i, j)] = new_cells[(i, j % 2)]
             continue
-        out, inc = (_nonzero(diffs.get(ij)) for ij in ((i, j), (i - r, j + r - 1)))
+        out, inc = diffs.get((i, j)), diffs.get((i - r, j + r - 1))
         new_cells[(i, j)] = (cell if out is None and inc is None
                              else _turn_cell(cell, out, inc, ctx.p))
     return Page(r=r + 1, N=page.N, period=page.period, cells=new_cells,
                 valid_through=page.valid_through)
-
-
-def _nonzero(d: np.ndarray | None) -> np.ndarray | None:
-    return d if d is not None and d.any() else None
 
 
 def _turn_cell(cell: Cell, out: np.ndarray | None, inc: np.ndarray | None, p: int) -> Cell:
@@ -423,48 +453,6 @@ def _turn_cell(cell: Cell, out: np.ndarray | None, inc: np.ndarray | None, p: in
     return Cell(reps, cell.steps + (step,))
 
 
-def apply_overrides(ctx: EngineContext, page: Page, overrides: list[DifferentialOverride]):
-    """Differential on page r from overrides, extended by Leibniz.
-
-    Each override contributes the classes of source * rho, rho a basis
-    class of the base row H^a(G), each a page-r cycle; a page basis class
-    in their span maps to the matching combination of the classes of
-    value * rho, and one outside it to zero.  On the block this is also
-    d_r(t^{pk} source * rho) = t^{pk} value * rho.
-    """
-    r = page.r
-    active = [ov for ov in overrides if ov.r == r]
-    p = ctx.p
-    for ov in active:
-        _check_source_survives(ctx, page, ov)
-    out = {}
-    for (i, j), cell in page.cells.items():
-        tgt = page.cells.get((i + r, j - r + 1))
-        if cell.dim == 0 or tgt is None:
-            continue
-        sources, values = [], []
-        for ov in active:
-            i_s, j_s = ov.source.single_bidegree()
-            if j_s != j or i < i_s:
-                continue
-            # columns source * rho and value * rho over the basis rho of H^a
-            a = i - i_s
-            i_v, j_v = ov.value.single_bidegree()
-            sources.append(_row_sign(j_s, a) * ctx.mult_matrix(ov.source.rows[j_s], a, i_s))
-            values.append(_row_sign(j_v, a) * ctx.mult_matrix(ov.value.rows[j_v], a, i_v))
-        if not sources:
-            continue
-        s_mat = np.concatenate(sources, axis=1) % p
-        v_mat = np.concatenate(values, axis=1) % p
-        s_cols = _page_block(r, (i, j), cell, s_mat.T, "override source product")
-        v_cols = _page_block(r, (i, j), tgt, v_mat.T)
-        _check_override_well_defined(s_cols, v_cols, p)
-        # x is zero on the page basis classes outside the sources' span
-        x, _ = solve_linear(s_cols, np.eye(cell.dim, dtype=np.int64), p)
-        out[(i, j)] = _frozen(mul_mod(v_cols, x, p))
-    return out
-
-
 def _check_overrides(ctx: EngineContext, overrides: list[DifferentialOverride]):
     """Refuse the overrides the row block cannot carry (module docstring) or no page turn reads."""
     p, period = ctx.p, 2 * ctx.p
@@ -472,7 +460,7 @@ def _check_overrides(ctx: EngineContext, overrides: list[DifferentialOverride]):
         raise EngineError(f"overrides need kernel_m = 1, got {ctx.spec.kernel_m}: the row "
                           "block is shown for a kernel C_p only")
     for ov in overrides:
-        i_s, j_s = ov.source.single_bidegree()
+        i_s, j_s = ov.source.bidegree
         if i_s + j_s > ctx.N:
             raise EngineError(f"override source {(i_s, j_s)} is outside the computed range")
         if ov.r > period:
@@ -487,9 +475,9 @@ def _check_overrides(ctx: EngineContext, overrides: list[DifferentialOverride]):
 
 
 def _check_source_survives(ctx, page: Page, ov: DifferentialOverride):
-    i_s, j_s = ov.source.single_bidegree()
+    i_s, j_s = ov.source.bidegree
     cell = page.cells[(i_s, j_s)]
-    vec = ctx.ring.to_vector(ov.source.rows[j_s], i_s)
+    vec = ctx.ring.to_vector(ov.source.cls, i_s)
     try:
         coords = cell.reduce(vec)
     except LinAlgError as exc:
@@ -522,11 +510,7 @@ def run(
     page = _init_page(ctx)
     pages = {2: page}
     while page.r < r_max:
-        if page.r in (2, 3, 4):
-            diffs = differential_matrix(ctx, page, page.r)
-        else:
-            diffs = apply_overrides(ctx, page, overrides)
-        page = turn_page(ctx, page, diffs)
+        page = turn_page(ctx, page, differential_matrix(ctx, page, overrides))
         pages[page.r] = page
     final = pages[r_max]
     poincare = PoincareData(

@@ -43,6 +43,8 @@ class ExtensionSpec:
             raise GroupError("xi must live over the quotient group")
         if not self.xi.is_zero() and self.xi.degree != 2:
             raise GroupError("xi must be homogeneous of degree 2")
+        if self.kernel_m == 1 and self.xi_prime is not None:
+            raise GroupError("xi_prime is derived as the Bockstein of xi when kernel_m = 1")
         if self.xi_prime is None:
             if self.kernel_m == 1:
                 self.xi_prime = bockstein(self.xi)

@@ -19,7 +19,7 @@ import re
 from .cohomology import CohoClass
 from .engine import DifferentialOverride, E2Element, EngineError
 from .extensions import ExtensionSpec
-from .groups import AbelianPGroupSpec
+from .groups import AbelianPGroupSpec, GroupError
 
 __all__ = [
     "ParseError",
@@ -128,9 +128,13 @@ def parse_class(text: str, group: AbelianPGroupSpec) -> CohoClass:
 
 
 def parse_e2(text: str, spec: ExtensionSpec) -> E2Element:
-    """Parse a starting-page expression (t/u symbols allowed)."""
-    rows = _parse_rows(text, spec.quotient, spec.kernel_order)
-    return E2Element(spec=spec, rows={j: c for j, c in rows.items() if not c.is_zero()})
+    """Parse a nonzero starting-page expression (t/u symbols allowed) in one
+    bidegree."""
+    rows = [(j, c) for j, c in _parse_rows(text, spec.quotient, spec.kernel_order).items()
+            if not c.is_zero()]
+    if len(rows) != 1:
+        raise ParseError("expected a single-bidegree element")
+    return E2Element(*rows[0])
 
 
 def _parse_rows(text: str, group: AbelianPGroupSpec, kernel_order: int | None = None):
@@ -260,6 +264,6 @@ def parse_overrides(text: str, spec: ExtensionSpec) -> list:
                     provenance=parts[3] if len(parts) > 3 else "",
                 )
             )
-        except EngineError as exc:
+        except (EngineError, ParseError, GroupError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     return out

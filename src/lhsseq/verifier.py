@@ -57,6 +57,7 @@ into one index vector, gathers its values in place, multiplies and adds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -196,7 +197,6 @@ class BarDoubleComplex:
         self.ne = self.E.order
         check_budget(max(self.dim(i, bound - i) for i in range(bound + 1)), budget,
                      f"a cochain of total degree {bound}")
-        self._digits: dict = {}
         self._dmat: dict = {}
         self._plans: dict = {}
         # face 0's moves, by its dropped digit x: [g, x] -> the new g, [x, d] -> x^-1 d
@@ -215,12 +215,6 @@ class BarDoubleComplex:
 
     def unit(self) -> E0Cochain:
         return E0Cochain(self, 0, 0, np.ones(self.ng, dtype=np.int64))
-
-    def _tuple_digits(self, base: int, length: int) -> np.ndarray:
-        key = ("dig", base, length)
-        if key not in self._digits:
-            self._digits[key] = np.indices((base,) * length).reshape(length, base**length).T
-        return self._digits[key]
 
     def _axes(self, i: int, j: int) -> tuple:
         """The sizes of the digit axes (g, s_1..s_i, e_1..e_j) of bidegree (i, j)."""
@@ -726,31 +720,24 @@ def bar_differential_matrix(cx: BarDoubleComplex, degree: int) -> np.ndarray:
 
 
 def monomial_bar_cochain(cx: BarDoubleComplex, cls, degree: int) -> np.ndarray:
-    """Inhomogeneous bar cochain representing a monomial class: the
-    iterated cup of the standard one- and two-cochains
-    y_i(a) = a_i mod p and x_i(a, a') = carry_i(a, a'),
-    factors in the monomial's canonical order."""
-    q = cx.spec.quotient
-    p = cx.p
-    out = np.zeros(cx.ng**degree, dtype=np.int64)
-    digits = cx._tuple_digits(cx.ng, degree)
+    """Inhomogeneous bar cochain representing a monomial class: the cup
+    product (BarDoubleComplex.product) of the g-constant row-zero cochains
+    y_i(a) = a_i mod p in (1, 0) and x_i(a, a') = carry_i(a, a') in (2, 0),
+    factors in the monomial's canonical order; the values of one g block
+    (every block is the same)."""
+    q, ng, p = cx.spec.quotient, cx.ng, cx.p
+    coords = np.array([q.decode(v) for v in range(ng)], dtype=np.int64).reshape(ng, q.rank).T
+    gens = {}
+    for i, (c, order) in enumerate(zip(coords, q.factor_orders)):
+        carry = c[:, None] + c[cx.G.mul[cx.G.inv]] >= order  # a = s_1, a' = s_1^-1 s_2
+        gens["y", i] = E0Cochain(cx, 1, 0, np.tile(c % p, ng))
+        gens["x", i] = E0Cochain(cx, 2, 0, np.tile(carry.reshape(-1).astype(np.int64), ng))
+    out = np.zeros(ng**degree, dtype=np.int64)
     for (eps, pows), coeff in cls.terms.items():
-        factors = [("y", i) for i, e in enumerate(eps) if e]
-        factors += [("x", i) for i, a in enumerate(pows) for _ in range(a)]
-        vals = np.full(cx.ng**degree, coeff % p, dtype=np.int64)
-        pos = 0
-        prev = np.full(cx.ng**degree, cx.G.identity, dtype=np.int64)  # anchor s_pos
-        for kind, i in factors:
-            coords = np.array([q.decode(v)[i] for v in range(cx.ng)])
-            a1 = cx.G.mul[cx.G.inv[prev], digits[:, pos]]
-            if kind == "y":
-                vals = (vals * (coords[a1] % p)) % p
-            else:
-                a2 = cx.G.mul[cx.G.inv[digits[:, pos]], digits[:, pos + 1]]
-                vals = vals * (coords[a1] + coords[a2] >= q.factor_orders[i])  # the carry
-            pos += 1 if kind == "y" else 2
-            prev = digits[:, pos - 1]
-        out = (out + vals) % p
+        factors = [gens["y", i] for i, e in enumerate(eps) if e]
+        factors += [gens["x", i] for i, a in enumerate(pows) for _ in range(a)]
+        mono = functools.reduce(lambda a, b: cx.product(a, b, "cup"), factors)
+        out = (out + coeff * mono.values[:ng**degree]) % p
     return out
 
 

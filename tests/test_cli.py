@@ -163,6 +163,20 @@ def test_overrides_the_row_block_cannot_carry_error(command, spec_text, line, me
     assert err.startswith(f"error: {message}") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("d5 | t^2*y3 | x1", "line 2: generator 'y3' exceeds the quotient rank 2"),
+    ("d5 | t^2*x1*y2 + t^2*y1 | x1^3*x2", "line 2: classes are not of equal degree"),
+    ("d5 | t^2*y1 + y1*y2 | x1^3*x2", "line 2: expected a single-bidegree element"),
+], ids=["parse", "group", "two_rows"])
+def test_override_file_errors_name_their_line(line, message, tmp_path, capsys):
+    spec, overrides = tmp_path / "spec.cfg", tmp_path / "overrides.cfg"
+    spec.write_text(P3)
+    overrides.write_text("d5 | t^2*x1*y2 - t^2*x2*y1 | x1^3*x2 - x2^3*x1\n" + line + "\n")
+    rc = main(["sseq", "--spec", str(spec), "--overrides", str(overrides), "--max-degree", "16"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == f"error: {message}\n"
+
+
 @pytest.mark.slow
 def test_compare_rank3_to_degree_seven_at_the_default_budget(tmp_path):
     # the small oracle reaches degree 7 on the order-81 spec (the dense double
@@ -343,6 +357,27 @@ def test_sseq_refuses_kernel_m_above_one_and_compare_reports_it(tmp_path, capsys
     report = json.loads(out.read_text())
     assert rc == 1 and report["cohomology_dims"] == [1, 2, 3, 4, 5]
     assert report["verdicts"]["engine_einf_vs_group_cohomology"].startswith("mismatch")
+
+
+@pytest.mark.parametrize("command", ["sseq", "compare"])
+def test_xi_prime_at_kernel_m_one_errors(command, tmp_path, capsys):
+    # x1*y2 is not beta(y1*y2); the engine would run d_3 and d_4 on it
+    bad = tmp_path / "bad.cfg"
+    bad.write_text('{p: 3, kernel_m: 1, quotient: [1, 1], xi: "y1*y2", xi_prime: "x1*y2"}')
+    rc = main([command, "--spec", str(bad), "--max-degree", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: xi_prime is derived as the Bockstein of xi when "
+                            "kernel_m = 1\n")
+
+
+def test_json_prints_the_report_that_out_writes(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["sseq", "--spec", str(CONFIGS / "extraspecial_27.cfg"), "--overrides",
+               str(CONFIGS / "extraspecial_27_overrides.cfg"), "--max-degree", "12",
+               "--out", str(out), "--json"])
+    log, report = capsys.readouterr().out.split(f"report written to {out}\n")
+    assert rc == 0 and log.startswith("extension: ") and report == out.read_text()
 
 
 def test_group_error_in_spec_errors(tmp_path, capsys):

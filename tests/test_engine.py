@@ -12,7 +12,6 @@ from lhsseq.engine import (
     EngineContext,
     EngineError,
     _init_page,
-    apply_overrides,
     differential_matrix,
     expand_rational,
     poly_mul,
@@ -162,16 +161,16 @@ def test_d2_matches_multiplication_by_xi():
     spec = make_spec("y1*y2", 1, 1)
     ctx = EngineContext(spec, 10)
     page = _init_page(ctx)
-    diffs = differential_matrix(ctx, page, 2)
-    # at (1, 1): u*chi -> xi*chi for chi in H^1; E_2 representatives are
+    diffs = differential_matrix(ctx, page)
+    # at (2, 1): u*chi -> xi*chi for chi in H^2; E_2 representatives are
     # the unit vectors, so page column k is the image of basis class k
-    mat = diffs[(1, 1)]
+    mat = diffs[(2, 1)]
     xi = spec.xi
-    for col, mon in enumerate(ctx.ring.basis(1)):
+    for col, mon in enumerate(ctx.ring.basis(2)):
         chi = CohoClass(spec.quotient, {mon: 1})
-        assert (mat[:, col] == ctx.ring.to_vector(cup(xi, chi), 3) % 3).all()
-    # even rows die under d2
-    assert not diffs[(1, 2)].any()
+        assert (mat[:, col] == ctx.ring.to_vector(cup(xi, chi), 4) % 3).all()
+    # xi H^1 = 0 and even rows die under d2: zero page matrices are left out
+    assert (1, 1) not in diffs and (1, 2) not in diffs
 
 
 def test_paper_d4_values_case_e():
@@ -417,7 +416,7 @@ d5 | t^2*x1*y2 - t^2*x2*y1 | x2^3*x1 - x1^3*x2 | -v
 
 def test_override_source_product_off_the_page_cycles_is_rejected():
     # source * rho must be a page-r cycle: a cell whose cycles miss the
-    # products of t^2 (x1 y2 - x2 y1) with H^1 makes apply_overrides refuse
+    # products of t^2 (x1 y2 - x2 y1) with H^1 makes differential_matrix refuse
     spec = make_spec("y1*y2", 1, 1)
     ctx = EngineContext(spec, 14)
     page = run(spec, 14, r_max=5)["pages"][5]
@@ -426,7 +425,7 @@ def test_override_source_product_off_the_page_cycles_is_rejected():
     page.cells[(4, 4)] = Cell(e0, (subquotient_of(e0, [], d, 3, [0]),))
     ovs = parse_overrides(CASE_F_OVERRIDES, spec)[:1]
     with pytest.raises(EngineError, match=r"source product at \(4, 4\) is not a page-5 cycle"):
-        apply_overrides(ctx, page, ovs)
+        differential_matrix(ctx, page, ovs)
 
 
 def test_empty_overrides_give_zero_differential():
@@ -487,9 +486,14 @@ def test_parse_rejects_overlong_monomial():
 def test_parse_e2_round_trip():
     spec = make_spec("y1*y2", 1, 1)
     el = parse_e2("t^2*u*y1*y2", spec)
-    assert el.single_bidegree() == (2, 5)
+    assert el.bidegree == (2, 5) and str(el) == "(y1*y2)*t^2*u"
     el2 = parse_e2("t^2*x1*y2 - t^2*x2*y1", spec)
-    assert el2.single_bidegree() == (3, 4)
+    assert el2.bidegree == (3, 4) and str(el2) == "(x1*y2 - x2*y1)*t^2"
+    from lhsseq.parsing import ParseError
+
+    for text in ("0", "t^2*y1 - t^2*y1", "t*y1 + y1*y2"):
+        with pytest.raises(ParseError, match="expected a single-bidegree element"):
+            parse_e2(text, spec)
 
 
 def test_poincare_data_invariants():
@@ -698,10 +702,6 @@ def test_overrides_with_a_larger_kernel_are_rejected():
         run(spec, 14, overrides=parse_overrides(CASE_F_OVERRIDES, spec))
 
 
-def _nonzero_matrix(d) -> bool:
-    return d is not None and bool(d.any())
-
-
 def test_turn_page_builds_one_subquotient_per_changed_block_cell(monkeypatch):
     from lhsseq import engine
 
@@ -717,12 +717,11 @@ def test_turn_page_builds_one_subquotient_per_changed_block_cell(monkeypatch):
     page = _init_page(ctx)
     while page.r < 7:
         r = page.r
-        diffs = differential_matrix(ctx, page, r) if r < 5 else apply_overrides(ctx, page, ovs)
+        diffs = differential_matrix(ctx, page, ovs)
+        assert all(m.any() for m in diffs.values())  # a zero matrix is a missing key
         # E_3 repeats its rows 0 and 1, so turning E_2 works on those alone
         turned = [(i, j) for i, j in page.cells if r > 2 or j < 2]
-        changed = {(i, j) for i, j in turned
-                   if _nonzero_matrix(diffs.get((i, j)))
-                   or _nonzero_matrix(diffs.get((i - r, j + r - 1)))}
+        changed = {(i, j) for i, j in turned if (i, j) in diffs or (i - r, j + r - 1) in diffs}
         calls.clear()
         new = engine.turn_page(ctx, page, diffs)
         assert len(calls) == len(changed), r
@@ -772,6 +771,6 @@ def test_shared_arrays_are_read_only():
     assert e2.cells[(1, 0)] is e2.cells[(1, 5)]
     with pytest.raises(ValueError):
         e2.cells[(1, 0)].reps[0, 0] = 0
-    diffs = differential_matrix(ctx, e2, 2)
+    diffs = differential_matrix(ctx, e2)
     with pytest.raises(ValueError):
-        diffs[(1, 1)][...] = 0
+        next(iter(diffs.values()))[...] = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lhsseq.cohomology import CohoClass, cup
+from lhsseq.cohomology import CohoClass, bockstein, cup
 from lhsseq.extensions import (
     ExtensionSpec,
     build_extension_group,
@@ -108,6 +108,14 @@ def test_xi_prime_defaults_to_bockstein():
     from lhsseq.cohomology import bockstein
 
     assert spec.xi_prime == bockstein(y1y2())
+
+
+def test_kernel_m1_refuses_an_explicit_xi_prime():
+    # any other degree-3 class would run d_3 and d_4 on a class that is not
+    # the extension's beta(xi); even beta(xi) itself is not taken
+    for xi_prime in (cup(CohoClass.x(C3C3, 0), CohoClass.y(C3C3, 1)), bockstein(y1y2())):
+        with pytest.raises(GroupError, match="derived as the Bockstein of xi when kernel_m = 1"):
+            ExtensionSpec(p=3, kernel_m=1, quotient=C3C3, xi=y1y2(), xi_prime=xi_prime)
 
 
 def test_kernel_m2_requires_explicit_xi_prime():
